@@ -184,7 +184,7 @@ def _require_format(fmt: str) -> str:
 
 def _read_csv_rows(path, required: tuple[str, ...]) -> list[tuple[int, dict]]:
     """Read CSV rows as (line_number, row_dict), checking the header."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in required if c not in header]

@@ -2,15 +2,16 @@
 
 Both tests are implemented from first principles so that every reported
 number is auditable: the Mann-Whitney exact method counts group
-assignments directly, and Barnard's test maximizes the rejection-region
-probability over a dense nuisance-parameter grid with a local
-golden-section refinement.
+assignments with one subset-sum recurrence, and Barnard's test maximizes
+the log-space rejection-region probability over a dense nuisance-parameter
+grid with a local golden-section refinement.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -72,56 +73,44 @@ def _tie_corrected_sd(pooled: Sequence[float], n1: int, n2: int) -> float:
     return math.sqrt(var) if var > 0 else 0.0
 
 
+def _subset_sum_counts(values: Sequence[int], k: int) -> dict[int, int]:
+    """{sum: number of k-subsets} of nonnegative ints; exact, summing to C(len, k)."""
+    top = sum(sorted(values, reverse=True)[:k])
+    ways = [[0] * (top + 1) for _ in range(k + 1)]
+    ways[0][0] = 1
+    for i, v in enumerate(values):
+        for m in range(min(i + 1, k), 0, -1):
+            row, prev = ways[m], ways[m - 1]
+            row[v:] = map(operator.add, row[v:], prev[:top + 1 - v])
+    return {t: c for t, c in enumerate(ways[k]) if c}
+
+
 def exact_u_distribution(n1: int, n2: int) -> dict[int, int]:
     """Null distribution of U for tie-free samples, as {u: assignment count}.
 
-    Counts subsets by a subset-sum recurrence over rank positions, so the
-    result is exact; the counts sum to C(n1+n2, n1).
+    Counts the rank sums of n1-subsets of ranks 1..n1+n2, so the result is
+    exact; the counts sum to C(n1+n2, n1).
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("both group sizes must be at least 1")
-    n = n1 + n2
-    max_sum = sum(range(n - n1 + 1, n + 1))
-    ways = [[0] * (max_sum + 1) for _ in range(n1 + 1)]
-    ways[0][0] = 1
-    for pos in range(1, n + 1):
-        for m in range(min(pos, n1), 0, -1):
-            row, prev = ways[m], ways[m - 1]
-            for t in range(max_sum, pos - 1, -1):
-                if prev[t - pos]:
-                    row[t] += prev[t - pos]
     base = n1 * (n1 + 1) // 2
-    return {t - base: c for t, c in enumerate(ways[n1]) if c}
-
-
-def _doubled_u_counts_with_ties(pooled: Sequence[float], n1: int) -> dict[int, int]:
-    """Null distribution over all assignments, keyed by 2*U_a (ties allowed).
-
-    With ties the distribution need not be symmetric, so the keying must
-    match the first-sample convention of _u_first exactly.
-    """
-    doubled = [int(round(2 * r)) for r in _midranks(pooled)]
-    n2 = len(pooled) - n1
-    base = 2 * n1 * n2 + n1 * (n1 + 1)
-    counts: dict[int, int] = {}
-    for combo in itertools.combinations(doubled, n1):
-        key = base - sum(combo)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return {t - base: c for t, c in _subset_sum_counts(range(1, n1 + n2 + 1), n1).items()}
 
 
 def _exact_tail_fractions(u_a: float, n1: int, n2: int,
                           pooled: Sequence[float]) -> tuple[Fraction, Fraction]:
-    """P(U* <= u_a) and P(U* >= u_a) over all C(n1+n2, n1) assignments."""
-    has_ties = len(set(pooled)) != len(pooled)
-    if has_ties:
-        doubled_counts = _doubled_u_counts_with_ties(pooled, n1)
-    else:
-        doubled_counts = {2 * u: c for u, c in exact_u_distribution(n1, n2).items()}
+    """P(U* <= u_a) and P(U* >= u_a) over all C(n1+n2, n1) assignments.
+
+    Doubled midranks are integers even with ties, and 2*U_a is base minus
+    their sum over sample a (the first-sample convention of _u_first).
+    """
+    doubled = [int(round(2 * r)) for r in _midranks(pooled)]
+    base = 2 * n1 * n2 + n1 * (n1 + 1)
+    counts = _subset_sum_counts(doubled, n1)
     total = math.comb(n1 + n2, n1)
     du = int(round(2 * u_a))
-    lower = sum(c for k, c in doubled_counts.items() if k <= du)
-    upper = sum(c for k, c in doubled_counts.items() if k >= du)
+    lower = sum(c for t, c in counts.items() if base - t <= du)
+    upper = sum(c for t, c in counts.items() if base - t >= du)
     return Fraction(lower, total), Fraction(upper, total)
 
 
@@ -189,9 +178,9 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], *,
     tails : 'one' (default) or 'two'; selects which p-value the `p` field echoes
     continuity_correction : shrink |U - mean| by 0.5 before the normal score
     method : 'normal' for the tie-corrected normal approximation, 'exact' to
-        count all C(n1+n2, n1) group assignments (tie-free samples use a
-        subset-sum recurrence, tied samples full enumeration)
-    exact_cap : refuse 'exact' above this pooled size (enumeration cost)
+        count all C(n1+n2, n1) group assignments with a subset-sum
+        recurrence over doubled midranks (exact with or without ties)
+    exact_cap : refuse 'exact' above this pooled size
 
     The effect size r is |z| / sqrt(n1 + n2) in every mode.
     """
@@ -280,11 +269,15 @@ def wald_pooled_statistic(table: ContingencyTable2x2) -> float:
     m1, m2 = a + b, c + d
     if m1 == 0 or m2 == 0:
         raise ValueError("both row sums must be positive")
-    pooled = (a + c) / (m1 + m2)
-    if pooled in (0.0, 1.0):
-        return 0.0
-    p1, p2 = a / m1, c / m2
-    return (p1 - p2) / math.sqrt(pooled * (1 - pooled) * (1 / m1 + 1 / m2))
+    return float(_pooled_scores(a, c, m1, m2))
+
+
+def _pooled_scores(x1, x2, m1: int, m2: int) -> np.ndarray:
+    """Pooled score statistic of the tables (x1, m1-x1, x2, m2-x2); broadcasts."""
+    pooled = (x1 + x2) / (m1 + m2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (x1 / m1 - x2 / m2) / np.sqrt(pooled * (1 - pooled) * (1 / m1 + 1 / m2))
+    return np.where((pooled == 0.0) | (pooled == 1.0), 0.0, t)
 
 
 @dataclass(frozen=True)
@@ -314,31 +307,34 @@ class BarnardResult:
         }
 
 
-def _region_weights(m1: int, m2: int, t_obs: float, tails: str) -> np.ndarray:
-    """Sum C(m1,x1)*C(m2,x2) of rejection tables, indexed by x1+x2."""
-    weights = np.zeros(m1 + m2 + 1)
-    for x1 in range(m1 + 1):
-        for x2 in range(m2 + 1):
-            t = wald_pooled_statistic(ContingencyTable2x2(x1, m1 - x1, x2, m2 - x2))
-            if tails == "two":
-                hit = abs(t) >= abs(t_obs) - _REGION_EPS
-            elif t_obs >= 0:
-                hit = t >= t_obs - _REGION_EPS
-            else:
-                hit = t <= t_obs + _REGION_EPS
-            if hit:
-                weights[x1 + x2] += math.comb(m1, x1) * math.comb(m2, x2)
-    return weights
+def _region_log_weights(scores: np.ndarray, t_obs: float, tails: str) -> np.ndarray:
+    """log sum of C(m1,x1)*C(m2,x2) over rejection cells of scores[x1, x2], by x1+x2."""
+    if tails == "two":
+        hit = np.abs(scores) >= abs(t_obs) - _REGION_EPS
+    elif t_obs >= 0:
+        hit = scores >= t_obs - _REGION_EPS
+    else:
+        hit = scores <= t_obs + _REGION_EPS
+    m1, m2 = scores.shape[0] - 1, scores.shape[1] - 1
+    x1, x2 = np.nonzero(hit)
+    lf = np.array([math.lgamma(x + 1) for x in range(m1 + m2 + 1)])
+    log_terms = (lf[m1] - lf[x1] - lf[m1 - x1]) + (lf[m2] - lf[x2] - lf[m2 - x2])
+    s = x1 + x2
+    peak = np.full(m1 + m2 + 1, -np.inf)
+    np.maximum.at(peak, s, log_terms)
+    sums = np.bincount(s, weights=np.exp(log_terms - peak[s]), minlength=peak.size)
+    with np.errstate(divide="ignore"):
+        return peak + np.log(sums)
 
 
-def _region_probability(weights: np.ndarray, total: int, pis: np.ndarray) -> np.ndarray:
-    """P(table in region | nuisance pi) for a vector of pi values."""
-    ss = np.nonzero(weights)[0]
-    pis = np.atleast_1d(np.asarray(pis, dtype=float))
-    probs = (weights[ss][None, :]
-             * pis[:, None] ** ss[None, :]
-             * (1.0 - pis)[:, None] ** (total - ss)[None, :]).sum(axis=1)
-    return probs
+def _region_probability(log_weights: np.ndarray, total: int, pis: np.ndarray) -> np.ndarray:
+    """P(region | pi) = sum_s exp(logW_s + s log pi + (total-s) log(1-pi)); terms <= 1."""
+    ss = np.nonzero(np.isfinite(log_weights))[0]
+    log_q = np.log1p(-pis)  # s*log(pi) + (total-s)*log_q, as one array built in place
+    terms = np.multiply.outer(np.log(pis) - log_q, ss)
+    terms += log_weights[ss]
+    terms += (total * log_q)[:, None]
+    return np.exp(terms, out=terms).sum(axis=1)
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
@@ -359,17 +355,21 @@ def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]
     return xm, f(xm)
 
 
-def _max_region_probability(weights: np.ndarray, total: int,
+def _max_region_probability(log_weights: np.ndarray, total: int,
                             step: float) -> tuple[float, float]:
-    """Maximize the region probability over the nuisance grid, then refine."""
+    """Maximize the region probability over the nuisance grid, then refine.
+
+    The grid argmax is the lowest point within a relative 1e-12 of the maximum,
+    since a two-sided region's mirror peaks at pi and 1-pi tie up to rounding.
+    """
     k = int(round(1.0 / step))
     pis = np.arange(1, k) * step
-    probs = _region_probability(weights, total, pis)
-    best = int(np.argmax(probs))
+    probs = _region_probability(log_weights, total, pis)
+    best = int(np.argmax(probs >= probs.max() * (1.0 - 1e-12)))
     best_pi, best_p = float(pis[best]), float(probs[best])
 
     def scalar(pi: float) -> float:
-        return float(_region_probability(weights, total, np.array([pi]))[0])
+        return float(_region_probability(log_weights, total, np.array([pi]))[0])
 
     lo = max(best_pi - step, step * 1e-6)
     hi = min(best_pi + step, 1.0 - step * 1e-6)
@@ -400,13 +400,12 @@ def barnard_test(table: ContingencyTable2x2, *, tails: str = "two",
     m1, m2 = a + b, c + d
     if m1 == 0 or m2 == 0:
         raise ValueError("both row sums must be at least 1")
-    t_obs = wald_pooled_statistic(table)
-    total = m1 + m2
+    scores = _pooled_scores(np.arange(m1 + 1)[:, None], np.arange(m2 + 1)[None, :], m1, m2)
+    t_obs = float(scores[a, c])
 
-    results = {}
-    for side in ("one", "two"):
-        weights = _region_weights(m1, m2, t_obs, side)
-        results[side] = _max_region_probability(weights, total, grid_resolution)
+    results = {side: _max_region_probability(_region_log_weights(scores, t_obs, side),
+                                             m1 + m2, grid_resolution)
+               for side in ("one", "two")}
     p_one, argmax_one = results["one"]
     p_two, argmax_two = results["two"]
     p, argmax = (p_one, argmax_one) if tails == "one" else (p_two, argmax_two)

@@ -232,6 +232,8 @@ def load_cohort_spec(path) -> PlantedCohortSpec:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing cohort spec key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed cohort spec: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,14 @@ class TestSynth:
         for name in ("subtasks.csv", "teams.csv", "interactions.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_wrong_typed_section_exits_1(self, tmp_path, capsys):
+        spec_path = tmp_path / "cohort.json"
+        spec_path.write_text(json.dumps({**COHORT_SPEC, "targets": 5}))
+        code, _, stderr = run(capsys, "synth", "--spec", spec_path, "--out", tmp_path / "o")
+        assert code == 1
+        assert str(spec_path) in stderr
+        assert "Traceback" not in stderr
+
     def test_seed_override_changes_output(self, tmp_path, capsys):
         spec_path = tmp_path / "cohort.json"
         spec_path.write_text(json.dumps(COHORT_SPEC))

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from collabnet import model
+from collabnet import model, pipeline
 from collabnet.model import (
     DataFormatError,
     Dataset,
@@ -192,6 +192,15 @@ class TestDatasetIO:
 
     def test_serialization_deterministic(self, study_dataset):
         assert dataset_to_json(study_dataset) == dataset_to_json(study_dataset)
+
+    def test_utf8_bom_csv_matches_plain(self, tmp_path):
+        # spreadsheet exports often prefix each CSV with a UTF-8 byte-order mark
+        for src in (FIXTURES / "study").glob("*.csv"):
+            (tmp_path / src.name).write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        bom = load_dataset(tmp_path)
+        plain = load_dataset(FIXTURES / "study")
+        assert bom == plain
+        assert pipeline.project_profiles(bom) == pipeline.project_profiles(plain)
 
     def test_parsing_deterministic(self):
         a = load_dataset(FIXTURES / "study")

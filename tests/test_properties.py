@@ -240,13 +240,45 @@ class TestBarnard:
         a, b, c, d = cells
         assume(a + b >= 1 and c + d >= 1)
         res = barnard_test(ContingencyTable2x2(a, b, c, d), grid_resolution=1e-3)
-        from collabnet.stats import _region_probability, _region_weights
+        from collabnet.stats import (_pooled_scores, _region_log_weights,
+                                     _region_probability)
         import numpy as np
-        weights = _region_weights(a + b, c + d, res.t, "two")
+        m1, m2 = a + b, c + d
+        scores = _pooled_scores(np.arange(m1 + 1)[:, None], np.arange(m2 + 1)[None, :], m1, m2)
+        log_weights = _region_log_weights(scores, res.t, "two")
         for pi in (0.1, 0.25, 0.5, 0.75, 0.9):
-            single = float(_region_probability(weights, a + b + c + d,
+            single = float(_region_probability(log_weights, a + b + c + d,
                                                np.array([pi]))[0])
             assert res.p >= single - 1e-12
+
+    @given(tables, st.sampled_from(["one", "two"]))
+    @settings(max_examples=60, deadline=None)
+    def test_region_probability_matches_cellwise_loop(self, cells, tails):
+        # reference: score every table on its own and sum exact binomial terms
+        a, b, c, d = cells
+        assume(a + b >= 1 and c + d >= 1)
+        from collabnet.stats import (_REGION_EPS, _pooled_scores, _region_log_weights,
+                                     _region_probability, wald_pooled_statistic)
+        import numpy as np
+        m1, m2 = a + b, c + d
+        t_obs = wald_pooled_statistic(ContingencyTable2x2(a, b, c, d))
+        scores = _pooled_scores(np.arange(m1 + 1)[:, None], np.arange(m2 + 1)[None, :], m1, m2)
+        pis = np.array([0.05, 0.3, 0.5, 0.8])
+        got = _region_probability(_region_log_weights(scores, t_obs, tails), m1 + m2, pis)
+        for pi, p in zip(pis, got):
+            expected = 0.0
+            for x1 in range(m1 + 1):
+                for x2 in range(m2 + 1):
+                    t = wald_pooled_statistic(ContingencyTable2x2(x1, m1 - x1, x2, m2 - x2))
+                    if tails == "two":
+                        hit = abs(t) >= abs(t_obs) - _REGION_EPS
+                    else:
+                        hit = (t >= t_obs - _REGION_EPS if t_obs >= 0
+                               else t <= t_obs + _REGION_EPS)
+                    if hit:
+                        expected += (math.comb(m1, x1) * math.comb(m2, x2)
+                                     * pi ** (x1 + x2) * (1 - pi) ** (m1 + m2 - x1 - x2))
+            assert p == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 class TestPlantedRecovery:

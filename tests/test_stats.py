@@ -1,7 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collabnet import synth
 from collabnet.roles import ContingencyTable2x2
@@ -17,6 +19,41 @@ from collabnet.stats import (
 STUDY_TABLE = ContingencyTable2x2(8, 1, 5, 6)
 # regression pin: this implementation's enumeration value for the study table
 STUDY_BARNARD_P = 0.05092281472021028
+
+
+def assert_exact_matches_pairwise_oracle(a, b):
+    """Exact p-values against an independent oracle that scores every
+    assignment by direct pair comparison."""
+    pooled = a + b
+    n1, n = len(a), len(a) + len(b)
+
+    def u_first_by_pairs(group_a_idx):
+        in_a = set(group_a_idx)
+        u = 0.0
+        for i in in_a:
+            for j in range(n):
+                if j in in_a:
+                    continue
+                if pooled[i] < pooled[j]:
+                    u += 1.0
+                elif pooled[i] == pooled[j]:
+                    u += 0.5
+        return u
+
+    u_obs = u_first_by_pairs(range(n1))
+    total = lower = upper = 0
+    for combo in itertools.combinations(range(n), n1):
+        u = u_first_by_pairs(combo)
+        total += 1
+        lower += u <= u_obs + 1e-9
+        upper += u >= u_obs - 1e-9
+    mu = n1 * (n - n1) / 2
+    expected_one = (lower if u_obs <= mu else upper) / total
+    expected_two = min(1.0, 2 * min(lower, upper) / total)
+
+    res = mann_whitney_u(a, b, method="exact")
+    assert res.p_one_sided == pytest.approx(expected_one, abs=1e-12)
+    assert res.p_two_sided == pytest.approx(expected_two, abs=1e-12)
 
 
 class TestUFromSamples:
@@ -145,38 +182,15 @@ class TestExactMethod:
         ([0.0, 2.0], [2.0, 2.0, 4.0, 4.0]),
     ])
     def test_exact_ties_match_pairwise_scoring_oracle(self, a, b):
-        # independent oracle: score each assignment by direct pair comparison
-        import itertools
-        pooled = a + b
-        n1, n = len(a), len(a) + len(b)
+        assert_exact_matches_pairwise_oracle(a, b)
 
-        def u_first_by_pairs(group_a_idx):
-            in_a = set(group_a_idx)
-            u = 0.0
-            for i in in_a:
-                for j in range(n):
-                    if j in in_a:
-                        continue
-                    if pooled[i] < pooled[j]:
-                        u += 1.0
-                    elif pooled[i] == pooled[j]:
-                        u += 0.5
-            return u
+    # values drawn from 0..4 make ties the rule; pooled size stays <= 12
+    tied_samples = st.lists(st.integers(0, 4).map(float), min_size=1, max_size=6)
 
-        u_obs = u_first_by_pairs(range(n1))
-        total = lower = upper = 0
-        for combo in itertools.combinations(range(n), n1):
-            u = u_first_by_pairs(combo)
-            total += 1
-            lower += u <= u_obs + 1e-9
-            upper += u >= u_obs - 1e-9
-        mu = n1 * (n - n1) / 2
-        expected_one = (lower if u_obs <= mu else upper) / total
-        expected_two = min(1.0, 2 * min(lower, upper) / total)
-
-        res = mann_whitney_u(a, b, method="exact")
-        assert res.p_one_sided == pytest.approx(expected_one, abs=1e-12)
-        assert res.p_two_sided == pytest.approx(expected_two, abs=1e-12)
+    @given(tied_samples, tied_samples)
+    @settings(max_examples=60, deadline=None)
+    def test_exact_random_ties_match_pairwise_scoring_oracle(self, a, b):
+        assert_exact_matches_pairwise_oracle(a, b)
 
     def test_exact_cap_enforced(self):
         with pytest.raises(ValueError, match="capped"):
@@ -249,3 +263,21 @@ class TestBarnard:
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError, match="grid_resolution"):
             barnard_test(STUDY_TABLE, grid_resolution=0.5)
+
+    def test_large_table_stays_finite(self):
+        # binomial weights of a 1,200 total overflow float64 unless kept as logs
+        res = barnard_test(ContingencyTable2x2(300, 300, 200, 400))
+        for p in (res.p, res.p_one_sided, res.p_two_sided):
+            assert math.isfinite(p) and 0.0 <= p <= 1.0
+        assert res.p_one_sided <= res.p_two_sided + 1e-12
+
+    # (3, 4, 5, 1) is left out: its mirror table scores one ulp below |t_obs|,
+    # which the region tolerance keeps and scipy's strict comparison drops
+    @pytest.mark.parametrize("cells", [(8, 1, 5, 6), (10, 0, 0, 10), (60, 40, 20, 30)])
+    def test_matches_scipy_pooled_barnard(self, cells):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        a, b, c, d = cells
+        ref = scipy_stats.barnard_exact([[a, c], [b, d]], pooled=True, n=64)
+        res = barnard_test(ContingencyTable2x2(*cells))
+        assert res.t == pytest.approx(ref.statistic, abs=1e-12)
+        assert res.p_two_sided == pytest.approx(ref.pvalue, abs=1e-12)
