@@ -130,11 +130,14 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
 
     report.write_report_json(bundle, out / "report.json")
+    team_profiles: dict[tuple[str, str], list] = {}
+    for pid, profiles in bundle.profiles.items():
+        for p in profiles:
+            team_profiles.setdefault((pid, p.team_id), []).append(p)
     nets = pipeline.team_networks(dataset)
     for (pid, team_id), net in sorted(nets.items()):
         spec = dataset.projects[pid]
-        team_profiles = [p for p in bundle.profiles[pid] if p.team_id == team_id]
-        dot = report.export_network_dot(net, team_profiles, spec)
+        dot = report.export_network_dot(net, team_profiles[(pid, team_id)], spec)
         (out / f"network_{pid}_{team_id}.dot").write_text(dot, encoding="utf-8")
     for pid in sorted(bundle.profiles):
         svg = report.export_quadrant_svg(bundle.profiles[pid], thresholds)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .model import InteractionRecord, ProjectSpec, TeamRoster
@@ -24,7 +24,8 @@ class BipartiteNetwork:
     """Binary student-subtask incidence for one team in one project.
 
     subtask_nodes always spans every subtask of the project, including
-    untouched ones, so degree shares are comparable across teams.
+    untouched ones, so degree shares are comparable across teams. The
+    per-student adjacency is built once from the edges.
     """
 
     team_id: str
@@ -32,16 +33,25 @@ class BipartiteNetwork:
     student_nodes: tuple[str, ...]
     subtask_nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
+    _adjacency: dict[str, frozenset[str]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        adjacency: dict[str, set[str]] = {s: set() for s in self.student_nodes}
+        for i, j in self.edges:
+            adjacency.setdefault(i, set()).add(j)
+        object.__setattr__(self, "_adjacency",
+                           {s: frozenset(js) for s, js in adjacency.items()})
 
     def subtasks_of(self, student_id: str) -> tuple[str, ...]:
-        self._require_student(student_id)
-        return tuple(sorted(j for i, j in self.edges if i == student_id))
+        return tuple(sorted(self._touched(student_id)))
 
-    def _require_student(self, student_id: str):
+    def _touched(self, student_id: str) -> frozenset[str]:
+        """The student's incident subtasks; ValueError for a non-member."""
         if student_id not in self.student_nodes:
             raise ValueError(
                 f"unknown student {student_id!r}; network has {list(self.student_nodes)}"
             )
+        return self._adjacency[student_id]
 
 
 def build_network(roster: TeamRoster, spec: ProjectSpec,
@@ -84,9 +94,7 @@ def build_network(roster: TeamRoster, spec: ProjectSpec,
 
 def degree_centrality(net: BipartiteNetwork, student_id: str) -> float:
     """Fraction of the project's subtasks the student is connected to."""
-    net._require_student(student_id)
-    incident = sum(1 for i, _ in net.edges if i == student_id)
-    return incident / len(net.subtask_nodes)
+    return len(net._touched(student_id)) / len(net.subtask_nodes)
 
 
 def weighted_degree(net: BipartiteNetwork, spec: ProjectSpec, student_id: str) -> float:
@@ -99,9 +107,7 @@ def weighted_degree(net: BipartiteNetwork, spec: ProjectSpec, student_id: str) -
         raise ValueError(
             f"spec project {spec.project_id!r} does not match network {net.project_id!r}"
         )
-    net._require_student(student_id)
-    touched = {j for i, j in net.edges if i == student_id}
-    got = sum(st.points for st in spec.subtasks if st.subtask_id in touched)
+    got = sum(spec.subtask(j).points for j in net._touched(student_id))
     return got / spec.total_weight
 
 
@@ -120,12 +126,9 @@ def type_histogram(net: BipartiteNetwork, spec: ProjectSpec, student_id: str) ->
         raise ValueError(
             f"spec project {spec.project_id!r} does not match network {net.project_id!r}"
         )
-    net._require_student(student_id)
-    touched = {j for i, j in net.edges if i == student_id}
     counts = {t: 0 for t in sorted(spec.type_capacities)}
-    for st in spec.subtasks:
-        if st.subtask_id in touched:
-            counts[st.task_type] += 1
+    for j in net._touched(student_id):
+        counts[spec.subtask(j).task_type] += 1
     return TypeHistogram(student_id=student_id, counts=counts, total=sum(counts.values()))
 
 

@@ -66,12 +66,13 @@ class ProjectSpec:
     project_id: str
     subtasks: tuple[Subtask, ...]
     type_capacities: dict[str, int] = field(init=False, compare=False, repr=False)
+    _by_id: dict[str, Subtask] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "subtasks", tuple(self.subtasks))
         if not self.subtasks:
             raise ValueError(f"project {self.project_id!r} has no subtasks")
-        seen = set()
+        by_id: dict[str, Subtask] = {}
         caps: dict[str, int] = {}
         for st in self.subtasks:
             if st.project_id != self.project_id:
@@ -79,11 +80,12 @@ class ProjectSpec:
                     f"subtask {st.subtask_id!r} belongs to project {st.project_id!r},"
                     f" not {self.project_id!r}"
                 )
-            if st.subtask_id in seen:
+            if st.subtask_id in by_id:
                 raise ValueError(f"duplicate subtask_id {st.subtask_id!r}")
-            seen.add(st.subtask_id)
+            by_id[st.subtask_id] = st
             caps[st.task_type] = caps.get(st.task_type, 0) + 1
         object.__setattr__(self, "type_capacities", caps)
+        object.__setattr__(self, "_by_id", by_id)
 
     @property
     def total_weight(self) -> int:
@@ -94,10 +96,7 @@ class ProjectSpec:
         return tuple(st.subtask_id for st in self.subtasks)
 
     def subtask(self, subtask_id: str) -> Subtask:
-        for st in self.subtasks:
-            if st.subtask_id == subtask_id:
-                return st
-        raise KeyError(subtask_id)
+        return self._by_id[subtask_id]
 
 
 @dataclass(frozen=True)
@@ -141,23 +140,37 @@ class Violation:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A full input bundle: project specs, team rosters, interaction events."""
+    """A full input bundle: project specs, team rosters, interaction events.
+
+    Rosters and interactions are indexed by (project_id, team_id) once, at
+    construction, so per-team lookups do not rescan the events.
+    """
 
     projects: dict[str, ProjectSpec]
     rosters: tuple[TeamRoster, ...]
     interactions: tuple[InteractionRecord, ...]
     metadata: dict[str, str] = field(default_factory=dict)
+    _roster_index: dict[tuple[str, str], TeamRoster] = field(
+        init=False, compare=False, repr=False)
+    _interaction_index: dict[tuple[str, str], tuple[InteractionRecord, ...]] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ordered = tuple(sorted(self.rosters, key=lambda r: (r.project_id, r.team_id)))
         object.__setattr__(self, "rosters", ordered)
         object.__setattr__(self, "interactions", tuple(self.interactions))
+        roster_index: dict[tuple[str, str], TeamRoster] = {}
+        for r in ordered:
+            roster_index.setdefault((r.project_id, r.team_id), r)
+        groups: dict[tuple[str, str], list[InteractionRecord]] = {}
+        for rec in self.interactions:
+            groups.setdefault((rec.project_id, rec.team_id), []).append(rec)
+        object.__setattr__(self, "_roster_index", roster_index)
+        object.__setattr__(self, "_interaction_index",
+                           {key: tuple(recs) for key, recs in groups.items()})
 
     def roster(self, project_id: str, team_id: str) -> TeamRoster | None:
-        for r in self.rosters:
-            if r.project_id == project_id and r.team_id == team_id:
-                return r
-        return None
+        return self._roster_index.get((project_id, team_id))
 
     def project_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.projects))
@@ -166,10 +179,8 @@ class Dataset:
         return tuple(r for r in self.rosters if r.project_id == project_id)
 
     def interactions_for(self, project_id: str, team_id: str) -> tuple[InteractionRecord, ...]:
-        return tuple(
-            i for i in self.interactions
-            if i.project_id == project_id and i.team_id == team_id
-        )
+        """The team's events in file order; empty for an unknown team."""
+        return self._interaction_index.get((project_id, team_id), ())
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +222,28 @@ def _read_json_rows(path, key: str) -> list[tuple[int, dict]]:
     return [(i, row) for i, row in enumerate(section)]
 
 
-def _row_value(row: dict, column: str, where: str) -> str:
+class _RowError(ValueError):
+    """A rejected row; the parser prefixes the row's location to the message."""
+
+
+def _location(path, fmt: str, section: str, loc: int) -> str:
+    return f"{path}:{'line' if fmt == 'csv' else section}[{loc}]"
+
+
+def _row_value(row: dict, column: str) -> str:
     value = row.get(column)
     if value is None or value == "":
-        raise DataFormatError(f"{where}: missing value for {column!r}")
+        raise _RowError(f"missing value for {column!r}")
     return str(value)
 
 
-def _parse_points(raw, where: str) -> int:
+def _parse_points(raw) -> int:
     try:
         points = int(raw)
     except (TypeError, ValueError):
-        raise DataFormatError(f"{where}: points must be an integer, got {raw!r}") from None
+        raise _RowError(f"points must be an integer, got {raw!r}") from None
     if points < 1:
-        raise DataFormatError(f"{where}: points must be positive, got {points}")
+        raise _RowError(f"points must be positive, got {points}")
     return points
 
 
@@ -236,13 +255,15 @@ def parse_project_specs(path, fmt: str = "csv") -> dict[str, ProjectSpec]:
     by_project: dict[str, list[Subtask]] = {}
     seen: set[tuple[str, str]] = set()
     for loc, row in rows:
-        where = f"{path}:{'line' if fmt == 'csv' else 'projects'}[{loc}]"
-        project_id = _row_value(row, "project_id", where)
-        subtask_id = _row_value(row, "subtask_id", where)
-        task_type = _row_value(row, "task_type", where)
-        points = _parse_points(row.get("points"), where)
-        if (project_id, subtask_id) in seen:
-            raise DataFormatError(f"{where}: duplicate subtask_id {subtask_id!r}")
+        try:
+            project_id = _row_value(row, "project_id")
+            subtask_id = _row_value(row, "subtask_id")
+            task_type = _row_value(row, "task_type")
+            points = _parse_points(row.get("points"))
+            if (project_id, subtask_id) in seen:
+                raise _RowError(f"duplicate subtask_id {subtask_id!r}")
+        except _RowError as exc:
+            raise DataFormatError(f"{_location(path, fmt, 'projects', loc)}: {exc}") from None
         seen.add((project_id, subtask_id))
         by_project.setdefault(project_id, []).append(
             Subtask(subtask_id=subtask_id, project_id=project_id,
@@ -270,23 +291,24 @@ def parse_team_rosters(path, fmt: str = "csv") -> tuple[TeamRoster, ...]:
     leaders: dict[tuple[str, str], str] = {}
     order: list[tuple[str, str]] = []
     for loc, row in rows:
-        where = f"{path}:{'line' if fmt == 'csv' else 'teams'}[{loc}]"
-        project_id = _row_value(row, "project_id", where)
-        team_id = _row_value(row, "team_id", where)
-        student_id = _row_value(row, "student_id", where)
-        raw_leader = row.get("is_leader")
-        if str(raw_leader) not in ("0", "1"):
-            raise DataFormatError(f"{where}: is_leader must be 0 or 1, got {raw_leader!r}")
-        key = (project_id, team_id)
+        try:
+            project_id = _row_value(row, "project_id")
+            team_id = _row_value(row, "team_id")
+            student_id = _row_value(row, "student_id")
+            raw_leader = row.get("is_leader")
+            if str(raw_leader) not in ("0", "1"):
+                raise _RowError(f"is_leader must be 0 or 1, got {raw_leader!r}")
+            key = (project_id, team_id)
+            if str(raw_leader) == "1" and leaders.get(key, student_id) != student_id:
+                raise _RowError(
+                    f"team {team_id!r} in project {project_id!r} has two leaders")
+        except _RowError as exc:
+            raise DataFormatError(f"{_location(path, fmt, 'teams', loc)}: {exc}") from None
         if key not in members:
             members[key] = set()
             order.append(key)
         members[key].add(student_id)
         if str(raw_leader) == "1":
-            if key in leaders and leaders[key] != student_id:
-                raise DataFormatError(
-                    f"{where}: team {team_id!r} in project {project_id!r} has two leaders"
-                )
             leaders[key] = student_id
     return tuple(
         TeamRoster(team_id=tid, project_id=pid,
@@ -303,15 +325,18 @@ def parse_interactions(path, fmt: str = "csv") -> tuple[InteractionRecord, ...]:
             else _read_json_rows(path, "interactions"))
     records = []
     for loc, row in rows:
-        where = f"{path}:{'line' if fmt == 'csv' else 'interactions'}[{loc}]"
         ts = row.get("timestamp")
-        records.append(InteractionRecord(
-            project_id=_row_value(row, "project_id", where),
-            team_id=_row_value(row, "team_id", where),
-            student_id=_row_value(row, "student_id", where),
-            subtask_id=_row_value(row, "subtask_id", where),
-            timestamp=str(ts) if ts not in (None, "") else None,
-        ))
+        try:
+            records.append(InteractionRecord(
+                project_id=_row_value(row, "project_id"),
+                team_id=_row_value(row, "team_id"),
+                student_id=_row_value(row, "student_id"),
+                subtask_id=_row_value(row, "subtask_id"),
+                timestamp=str(ts) if ts not in (None, "") else None,
+            ))
+        except _RowError as exc:
+            raise DataFormatError(
+                f"{_location(path, fmt, 'interactions', loc)}: {exc}") from None
     return tuple(records)
 
 
