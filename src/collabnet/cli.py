@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import __version__, pipeline, report, stats, synth
 from .model import Dataset, load_dataset, validate_dataset, write_dataset
+# build_contingency, role_transitions and unpaired_students stay for bench/tracing.py
 from .roles import Thresholds, build_contingency, role_transitions, unpaired_students
 
 
@@ -30,36 +31,34 @@ def _default_out() -> str:
     return os.environ.get("COLLABNET_OUT", "collabnet_out")
 
 
-def _add_data_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--data", required=True,
-                        help="dataset.json file or directory with the three CSVs")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="input format (default: inferred from --data)")
-
-
 def _add_out_option(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="output directory (default: $COLLABNET_OUT or ./collabnet_out)")
 
 
-def _add_threshold_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--quantity-cut", type=float, default=0.5,
+def _analysis_options() -> argparse.ArgumentParser:
+    """Parent parser with the options analyze, stats and transitions share."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--data", required=True,
+                        help="dataset.json file or directory with the three CSVs")
+    common.add_argument("--format", choices=("csv", "json"), default=None,
+                        help="input format (default: inferred from --data)")
+    _add_out_option(common)
+    common.add_argument("--quantity-cut", type=float, default=0.5,
                         help="quantity classification cut in (0,1), default 0.5")
-    parser.add_argument("--heterogeneity-cut", type=float, default=0.5,
+    common.add_argument("--heterogeneity-cut", type=float, default=0.5,
                         help="heterogeneity classification cut in (0,1), default 0.5")
-
-
-def _add_stats_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--tails", choices=("one", "two"), default=None,
+    common.add_argument("--tails", choices=("one", "two"), default=None,
                         help="tail convention (defaults: one-sided Mann-Whitney,"
                              " two-sided Barnard)")
-    parser.add_argument("--continuity", action="store_true",
+    common.add_argument("--continuity", action="store_true",
                         help="apply the 0.5 continuity correction to the normal score")
-    parser.add_argument("--exact-mwu", action="store_true",
+    common.add_argument("--exact-mwu", action="store_true",
                         help="use the exact Mann-Whitney null distribution")
-    parser.add_argument("--barnard-grid", type=float,
+    common.add_argument("--barnard-grid", type=float,
                         default=stats.DEFAULT_GRID_RESOLUTION, metavar="STEP",
                         help="nuisance grid step for Barnard's test, default 1e-4")
+    return common
 
 
 def _thresholds(args) -> Thresholds:
@@ -95,15 +94,20 @@ def _input_digests(data_path: str) -> dict[str, str]:
     return digests
 
 
-def _load(args) -> Dataset:
-    return load_dataset(args.data, args.format)
-
-
-def _check_valid(dataset: Dataset) -> bool:
+def _load_valid(args, *project_ids: str) -> Dataset | None:
+    """Load and validate --data and check the project ids; print any problem, return None."""
+    dataset = load_dataset(args.data, args.format)
     violations = validate_dataset(dataset)
     for v in violations:
         print(f"violation[{v.kind}]: {v.message}", file=sys.stderr)
-    return not violations
+    if violations:
+        return None
+    for pid in project_ids:
+        if pid not in dataset.projects:
+            print(f"error: unknown project {pid!r};"
+                  f" known projects: {', '.join(dataset.project_ids())}", file=sys.stderr)
+            return None
+    return dataset
 
 
 def _print_role_table(profiles_by_project):
@@ -120,8 +124,8 @@ def _print_role_table(profiles_by_project):
 
 
 def cmd_analyze(args) -> int:
-    dataset = _load(args)
-    if not _check_valid(dataset):
+    dataset = _load_valid(args)
+    if dataset is None:
         return 1
     thresholds = _thresholds(args)
     options = _stats_options(args)
@@ -154,28 +158,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    dataset = _load(args)
-    if not _check_valid(dataset):
+    dataset = _load_valid(args, args.project)
+    if dataset is None:
         return 1
-    if args.project not in dataset.projects:
-        print(f"error: unknown project {args.project!r};"
-              f" known projects: {', '.join(dataset.project_ids())}", file=sys.stderr)
-        return 1
-    thresholds = _thresholds(args)
-    options = _stats_options(args)
-    profiles = pipeline.project_profiles(dataset, thresholds)[args.project]
+    profiles = pipeline.project_profiles(dataset, _thresholds(args))[args.project]
     leaders, others = pipeline.leader_split(profiles, args.measure)
     if not leaders or not others:
         print(f"error: leader-vs-nonleader grouping needs both groups nonempty in"
               f" project {args.project!r} (leaders: {len(leaders)},"
               f" non-leaders: {len(others)})", file=sys.stderr)
         return 1
-    result = stats.mann_whitney_u(
-        leaders, others,
-        tails=options.mwu_tails,
-        continuity_correction=options.continuity_correction,
-        method=options.mwu_method,
-    )
+    result = _stats_options(args).mann_whitney(leaders, others)
     print(f"Mann-Whitney U, {args.measure}, project {args.project},"
           f" leaders (n={len(leaders)}) vs non-leaders (n={len(others)})")
     print(f"  median leaders     = {statistics.median(leaders):.4f}")
@@ -195,27 +188,20 @@ def cmd_stats(args) -> int:
 
 
 def cmd_transitions(args) -> int:
-    dataset = _load(args)
-    if not _check_valid(dataset):
+    dataset = _load_valid(args, args.project_a, args.project_b)
+    if dataset is None:
         return 1
-    for pid in (args.project_a, args.project_b):
-        if pid not in dataset.projects:
-            print(f"error: unknown project {pid!r};"
-                  f" known projects: {', '.join(dataset.project_ids())}", file=sys.stderr)
-            return 1
-    thresholds = _thresholds(args)
-    options = _stats_options(args)
-    profiles = pipeline.project_profiles(dataset, thresholds)
-    transitions = role_transitions(profiles[args.project_a], profiles[args.project_b])
-    dropouts, joiners = unpaired_students(profiles[args.project_a], profiles[args.project_b])
-    table = build_contingency(transitions)
+    profiles = pipeline.project_profiles(dataset, _thresholds(args))
+    comparison = pipeline.compare_projects(
+        profiles[args.project_a], profiles[args.project_b], _stats_options(args))
+    table = comparison.contingency
 
     print(f"transitions {args.project_a} -> {args.project_b}:"
-          f" {len(transitions)} students paired")
-    if dropouts:
-        print(f"  dropouts (only in {args.project_a}): {', '.join(dropouts)}")
-    if joiners:
-        print(f"  joiners (only in {args.project_b}): {', '.join(joiners)}")
+          f" {len(comparison.pairs)} students paired")
+    if comparison.dropouts:
+        print(f"  dropouts (only in {args.project_a}): {', '.join(comparison.dropouts)}")
+    if comparison.joiners:
+        print(f"  joiners (only in {args.project_b}): {', '.join(comparison.joiners)}")
     print("  contingency (rows: leadership changed/unchanged,"
           " columns: role changed/unchanged):")
     print(f"    [{table.a:3d} {table.b:3d}]")
@@ -226,12 +212,11 @@ def cmd_transitions(args) -> int:
         "from": args.project_a,
         "to": args.project_b,
         "contingency": {"a": table.a, "b": table.b, "c": table.c, "d": table.d},
-        "dropouts": list(dropouts),
-        "joiners": list(joiners),
+        "dropouts": list(comparison.dropouts),
+        "joiners": list(comparison.joiners),
     }
-    if table.a + table.b >= 1 and table.c + table.d >= 1:
-        result = stats.barnard_test(table, tails=options.barnard_tails,
-                                    grid_resolution=options.barnard_grid)
+    result = comparison.barnard
+    if result is not None:
         print(f"  Barnard T = {result.t:.4f}")
         print(f"  p (one-sided) = {result.p_one_sided:.6g}")
         print(f"  p (two-sided) = {result.p_two_sided:.6g}")
@@ -272,27 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"collabnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="run the full pipeline and write all reports")
-    _add_data_options(p)
-    _add_out_option(p)
-    _add_threshold_options(p)
-    _add_stats_options(p)
+    common = _analysis_options()
+    p = sub.add_parser("analyze", parents=[common],
+                       help="run the full pipeline and write all reports")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("stats", help="leader vs non-leader Mann-Whitney U test")
-    _add_data_options(p)
-    _add_out_option(p)
-    _add_threshold_options(p)
-    _add_stats_options(p)
+    p = sub.add_parser("stats", parents=[common],
+                       help="leader vs non-leader Mann-Whitney U test")
     p.add_argument("--project", required=True, help="project id to test")
     p.add_argument("--measure", required=True, choices=("quantity", "heterogeneity"))
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("transitions", help="role transitions and Barnard's test")
-    _add_data_options(p)
-    _add_out_option(p)
-    _add_threshold_options(p)
-    _add_stats_options(p)
+    p = sub.add_parser("transitions", parents=[common],
+                       help="role transitions and Barnard's test")
     p.add_argument("project_a", help="earlier project id")
     p.add_argument("project_b", help="later project id")
     p.set_defaults(func=cmd_transitions)

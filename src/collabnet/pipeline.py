@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import __version__, measures, roles, stats
 from .model import Dataset, dataset_to_json
-from .report import ReportBundle
+from .report import ProjectComparison, ReportBundle
 from .roles import ContributionProfile, Thresholds
 
 
@@ -20,6 +20,12 @@ class StatsOptions:
     continuity_correction: bool = False
     barnard_tails: str = "two"
     barnard_grid: float = stats.DEFAULT_GRID_RESOLUTION
+
+    def mann_whitney(self, leaders, others) -> stats.MwuResult:
+        """Leader vs non-leader Mann-Whitney U test under these options."""
+        return stats.mann_whitney_u(leaders, others, tails=self.mwu_tails,
+                                    continuity_correction=self.continuity_correction,
+                                    method=self.mwu_method)
 
 
 def team_networks(dataset: Dataset) -> dict[tuple[str, str], measures.BipartiteNetwork]:
@@ -67,7 +73,7 @@ def _metadata(thresholds: Thresholds, options: StatsOptions,
         "thresholds": {
             "quantity_cut": thresholds.quantity_cut,
             "heterogeneity_cut": thresholds.heterogeneity_cut,
-            "boundary_rule": thresholds.boundary_rule,
+            "boundary_rule": "high_inclusive",
         },
         "stats_options": {
             "mwu_tails": options.mwu_tails,
@@ -78,6 +84,24 @@ def _metadata(thresholds: Thresholds, options: StatsOptions,
         },
         "inputs": {name: input_digests[name] for name in sorted(input_digests)},
     }
+
+
+def compare_projects(before, after, options: StatsOptions = StatsOptions(),
+                     ) -> ProjectComparison:
+    """Compare two projects' profiles: transitions of the students in both,
+    the unpaired students, the contingency table and Barnard's test.
+
+    Barnard's test is skipped (`barnard` is None) when a contingency row sum
+    is zero, i.e. when nobody's leadership changed or everybody's did.
+    """
+    pairs = roles.role_transitions(before, after)
+    dropouts, joiners = roles.unpaired_students(before, after)
+    table = roles.build_contingency(pairs)
+    barnard = None
+    if table.a + table.b >= 1 and table.c + table.d >= 1:
+        barnard = stats.barnard_test(table, tails=options.barnard_tails,
+                                     grid_resolution=options.barnard_grid)
+    return ProjectComparison(pairs, dropouts, joiners, table, barnard)
 
 
 def run_analysis(dataset: Dataset, thresholds: Thresholds = Thresholds(),
@@ -102,25 +126,10 @@ def run_analysis(dataset: Dataset, thresholds: Thresholds = Thresholds(),
         for measure_name in ("quantity", "heterogeneity"):
             leaders, others = leader_split(profiles[pid], measure_name)
             if leaders and others:
-                bundle.mwu[f"{pid}/{measure_name}"] = stats.mann_whitney_u(
-                    leaders, others,
-                    tails=options.mwu_tails,
-                    continuity_correction=options.continuity_correction,
-                    method=options.mwu_method,
-                )
+                bundle.mwu[f"{pid}/{measure_name}"] = options.mann_whitney(leaders, others)
 
     pids = dataset.project_ids()
     for before, after in zip(pids, pids[1:]):
-        key = f"{before}->{after}"
-        transitions = roles.role_transitions(profiles[before], profiles[after])
-        dropouts, joiners = roles.unpaired_students(profiles[before], profiles[after])
-        bundle.transitions[key] = transitions
-        bundle.unpaired[key] = {"dropouts": dropouts, "joiners": joiners}
-        table = roles.build_contingency(transitions)
-        bundle.contingency[key] = table
-        if table.a + table.b >= 1 and table.c + table.d >= 1:
-            bundle.barnard[key] = stats.barnard_test(
-                table, tails=options.barnard_tails,
-                grid_resolution=options.barnard_grid,
-            )
+        bundle.transitions[f"{before}->{after}"] = compare_projects(
+            profiles[before], profiles[after], options)
     return bundle

@@ -27,14 +27,12 @@ _MARGIN = 50
 _PLOT = _VIEW - 2 * _MARGIN
 
 
-def _dot_quote(identifier: str) -> str:
-    escaped = identifier.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
-
-
-def _dot_label(*lines: str) -> str:
-    escaped = [s.replace("\\", "\\\\").replace('"', '\\"') for s in lines]
-    return '"' + "\\n".join(escaped) + '"'
+def _dot_quote(first: str, *more: str) -> str:
+    """One double-quoted DOT string (an id or a label), lines joined by \\n."""
+    text = first.replace("\\", "\\\\").replace('"', '\\"')
+    for line in more:  # a loop, not a list and a join: most calls quote a one-line id
+        text += "\\n" + line.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{text}"'
 
 
 def export_network_dot(net: BipartiteNetwork, profiles: Sequence[ContributionProfile],
@@ -62,15 +60,15 @@ def export_network_dot(net: BipartiteNetwork, profiles: Sequence[ContributionPro
         attrs = ["shape=ellipse", 'style=filled']
         if by_student[student].is_assigned_leader:
             attrs += ['fillcolor="#ffd27f"', "peripheries=2",
-                      f"label={_dot_label(student, '(leader)')}"]
+                      f"label={_dot_quote(student, '(leader)')}"]
         else:
-            attrs += ['fillcolor="#e8e8e8"', f"label={_dot_label(student)}"]
+            attrs += ['fillcolor="#e8e8e8"', f"label={_dot_quote(student)}"]
         lines.append(f"    {_dot_quote(student)} [{', '.join(attrs)}];")
     lines.append("  }")
     lines.append("  { rank=sink;")
     for sid in net.subtask_nodes:
         st = spec.subtask(sid)
-        label = _dot_label(sid, f"{st.task_type} ({st.points})")
+        label = _dot_quote(sid, f"{st.task_type} ({st.points})")
         lines.append(f"    {_dot_quote(sid)} [shape=box, label={label}];")
     lines.append("  }")
     for student, sid in sorted(net.edges):
@@ -194,17 +192,26 @@ def export_quadrant_svg(profiles: Sequence[ContributionProfile],
 # Report bundle
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ProjectComparison:
+    """One project pair: paired transitions, unpaired students, the leadership x
+    role contingency table, and Barnard's test (None when it was skipped)."""
+
+    pairs: tuple[RoleTransition, ...]
+    dropouts: tuple[str, ...]
+    joiners: tuple[str, ...]
+    contingency: ContingencyTable2x2
+    barnard: BarnardResult | None
+
+
 @dataclass
 class ReportBundle:
     """Everything one analysis run produced, plus the metadata to audit it."""
 
     metadata: dict
     profiles: dict[str, tuple[ContributionProfile, ...]]
-    transitions: dict[str, tuple[RoleTransition, ...]] = field(default_factory=dict)
-    unpaired: dict[str, dict[str, tuple[str, ...]]] = field(default_factory=dict)
-    contingency: dict[str, ContingencyTable2x2] = field(default_factory=dict)
+    transitions: dict[str, ProjectComparison] = field(default_factory=dict)
     mwu: dict[str, MwuResult] = field(default_factory=dict)
-    barnard: dict[str, BarnardResult] = field(default_factory=dict)
 
 
 def _profile_dict(p: ContributionProfile) -> dict:
@@ -237,6 +244,18 @@ def _contingency_dict(table: ContingencyTable2x2) -> dict:
     }
 
 
+def _comparison_dict(comparison: ProjectComparison) -> dict:
+    entry = {
+        "pairs": [_transition_dict(t) for t in comparison.pairs],
+        "dropouts": list(comparison.dropouts),
+        "joiners": list(comparison.joiners),
+        "contingency": _contingency_dict(comparison.contingency),
+    }
+    if comparison.barnard is not None:
+        entry["barnard"] = comparison.barnard.to_dict()
+    return entry
+
+
 def report_to_json(bundle: ReportBundle) -> str:
     """Serialize the bundle with stable key ordering (deterministic bytes)."""
     doc: dict = {"schema_version": SCHEMA_VERSION, "metadata": bundle.metadata}
@@ -247,20 +266,9 @@ def report_to_json(bundle: ReportBundle) -> str:
     doc["mann_whitney"] = {
         key: bundle.mwu[key].to_dict() for key in sorted(bundle.mwu)
     }
-    transitions: dict = {}
-    for key in sorted(bundle.transitions):
-        entry: dict = {
-            "pairs": [_transition_dict(t) for t in bundle.transitions[key]],
-        }
-        if key in bundle.unpaired:
-            entry["dropouts"] = list(bundle.unpaired[key]["dropouts"])
-            entry["joiners"] = list(bundle.unpaired[key]["joiners"])
-        if key in bundle.contingency:
-            entry["contingency"] = _contingency_dict(bundle.contingency[key])
-        if key in bundle.barnard:
-            entry["barnard"] = bundle.barnard[key].to_dict()
-        transitions[key] = entry
-    doc["transitions"] = transitions
+    doc["transitions"] = {
+        key: _comparison_dict(bundle.transitions[key]) for key in sorted(bundle.transitions)
+    }
     return json.dumps(doc, indent=2) + "\n"
 
 

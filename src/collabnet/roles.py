@@ -31,7 +31,6 @@ class Thresholds:
 
     quantity_cut: float = 0.5
     heterogeneity_cut: float = 0.5
-    boundary_rule: str = "high_inclusive"
 
     def __post_init__(self):
         if not (0.0 < self.quantity_cut < 1.0):
@@ -40,8 +39,6 @@ class Thresholds:
             raise ValueError(
                 f"heterogeneity_cut must be in (0, 1), got {self.heterogeneity_cut}"
             )
-        if self.boundary_rule != "high_inclusive":
-            raise ValueError(f"unsupported boundary_rule {self.boundary_rule!r}")
 
 
 DEFAULT_THRESHOLDS = Thresholds()

@@ -167,6 +167,24 @@ def _z_score(u_a: float, mu: float, sd: float, continuity_correction: bool) -> f
     return delta / sd
 
 
+def _mwu_result(u_a: float, n1: int, n2: int, z: float, p_one: float, p_two: float,
+                method: str, tails: str, continuity_correction: bool) -> MwuResult:
+    """Assemble a result; U is reported as min(U_a, U_b) and r as |z| / sqrt(n1 + n2)."""
+    return MwuResult(
+        u=min(u_a, n1 * n2 - u_a),
+        z=z,
+        p=p_one if tails == "one" else p_two,
+        r=abs(z) / math.sqrt(n1 + n2),
+        n1=n1,
+        n2=n2,
+        method=method,
+        tails=tails,
+        continuity_correction=continuity_correction,
+        p_one_sided=p_one,
+        p_two_sided=p_two,
+    )
+
+
 def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], *,
                    tails: str = "one", continuity_correction: bool = False,
                    method: str = "normal", exact_cap: int = DEFAULT_EXACT_CAP) -> MwuResult:
@@ -207,19 +225,7 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], *,
         p_one = _norm_sf(abs(z))
         p_two = min(1.0, 2.0 * p_one)
 
-    return MwuResult(
-        u=min(u_a, n1 * n2 - u_a),
-        z=z,
-        p=p_one if tails == "one" else p_two,
-        r=abs(z) / math.sqrt(n),
-        n1=n1,
-        n2=n2,
-        method=method,
-        tails=tails,
-        continuity_correction=continuity_correction,
-        p_one_sided=p_one,
-        p_two_sided=p_two,
-    )
+    return _mwu_result(u_a, n1, n2, z, p_one, p_two, method, tails, continuity_correction)
 
 
 def mann_whitney_from_u(u: float, n1: int, n2: int, *, tails: str = "one",
@@ -240,19 +246,7 @@ def mann_whitney_from_u(u: float, n1: int, n2: int, *, tails: str = "one",
     z = _z_score(u, mu, sd, continuity_correction)
     p_one = _norm_sf(abs(z))
     p_two = min(1.0, 2.0 * p_one)
-    return MwuResult(
-        u=min(u, n1 * n2 - u),
-        z=z,
-        p=p_one if tails == "one" else p_two,
-        r=abs(z) / math.sqrt(n),
-        n1=n1,
-        n2=n2,
-        method="normal",
-        tails=tails,
-        continuity_correction=continuity_correction,
-        p_one_sided=p_one,
-        p_two_sided=p_two,
-    )
+    return _mwu_result(u, n1, n2, z, p_one, p_two, "normal", tails, continuity_correction)
 
 
 # ---------------------------------------------------------------------------

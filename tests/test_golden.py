@@ -1,4 +1,5 @@
-"""Golden outputs of `collabnet analyze --data fixtures/study` (default flags).
+"""Golden outputs of `collabnet analyze --data fixtures/study` (default flags)
+and of the `stats` and `transitions` subcommands on the same fixture.
 
 The determinism criterion only checks that two runs agree with each other;
 these constants pin what the runs write. A change that moves any of them
@@ -42,6 +43,23 @@ SECTION_SHA256 = {
     "contingency": "757f07617342684e81c6736f07363565e2e65278e3671f2bd3d0fb905004de94",
 }
 
+# SHA-256 of the JSON file each subcommand writes
+SUBCOMMAND_SHA256 = {
+    ("stats", "--project", "TP1", "--measure", "quantity"):
+        ("mwu_TP1_quantity.json",
+         "bf1d8c1cc12cb32df023a5f3af8fad193423d29f4a8f1c4060fa478736f97796"),
+    ("stats", "--project", "TP2", "--measure", "quantity", "--exact-mwu"):
+        ("mwu_TP2_quantity.json",
+         "3276fa56bc05c3fa99d21cec34ef36f2a3f05a4fa4d0c8973688c9b9b9b7466b"),
+    ("transitions", "TP1", "TP1"):  # no leadership change, so no barnard key
+        ("transitions_TP1_TP1.json",
+         "7b744a605dc8984c72b2c5c0a611e53da3fe40208ea5b5dfea8ff29cd59bdb17"),
+}
+
+TRANSITIONS_TP1_TP2 = {"from": "TP1", "to": "TP2",
+                       "contingency": {"a": 8, "b": 1, "c": 5, "d": 6},
+                       "dropouts": ["S6"], "joiners": []}
+
 BARNARD_EXACT = {"test": "barnard", "t": 2.026026679188629, "grid_resolution": 0.0001,
                  "tails": "two", "table": [8, 1, 5, 6]}
 BARNARD_CLOSE = {"p": 0.050922814720210215, "p_one_sided": 0.02811043589769254,
@@ -51,6 +69,14 @@ BARNARD_CLOSE = {"p": 0.050922814720210215, "p_one_sided": 0.02811043589769254,
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _assert_pinned_barnard(barnard: dict):
+    assert set(barnard) == set(BARNARD_EXACT) | set(BARNARD_CLOSE)
+    for key, value in BARNARD_EXACT.items():
+        assert barnard[key] == value, key
+    for key, value in BARNARD_CLOSE.items():
+        assert barnard[key] == pytest.approx(value, rel=0, abs=1e-12), key
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +107,20 @@ def test_report_sections_match_pinned_digests(study_out):
 def test_report_barnard_matches_pinned_values(study_out):
     doc = json.loads((study_out / "report.json").read_text(encoding="utf-8"))
     assert list(doc["transitions"]) == ["TP1->TP2"]
-    barnard = doc["transitions"]["TP1->TP2"]["barnard"]
-    assert set(barnard) == set(BARNARD_EXACT) | set(BARNARD_CLOSE)
-    for key, value in BARNARD_EXACT.items():
-        assert barnard[key] == value, key
-    for key, value in BARNARD_CLOSE.items():
-        assert barnard[key] == pytest.approx(value, rel=0, abs=1e-12), key
+    _assert_pinned_barnard(doc["transitions"]["TP1->TP2"]["barnard"])
+
+
+@pytest.mark.parametrize("argv", list(SUBCOMMAND_SHA256), ids=" ".join)
+def test_subcommand_file_matches_pinned_digest(argv, tmp_path, capsys):
+    name, digest = SUBCOMMAND_SHA256[argv]
+    assert cli_main([*argv, "--data", str(FIXTURES / "study"), "--out", str(tmp_path)]) == 0
+    assert _sha256((tmp_path / name).read_bytes()) == digest
+
+
+def test_transitions_file_matches_pinned_values(tmp_path, capsys):
+    assert cli_main(["transitions", "TP1", "TP2", "--data", str(FIXTURES / "study"),
+                     "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "transitions_TP1_TP2.json").read_text(encoding="utf-8"))
+    assert list(doc) == [*TRANSITIONS_TP1_TP2, "barnard"]
+    _assert_pinned_barnard(doc.pop("barnard"))
+    assert doc == TRANSITIONS_TP1_TP2

@@ -1,6 +1,7 @@
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, strategies as st
 
 from collabnet import measures, pipeline, report
 from collabnet.model import Dataset
@@ -58,6 +59,11 @@ class TestDotExport:
         net, profiles, spec = team3_inputs(study_dataset, study_profiles)
         assert export_network_dot(net, profiles, spec) == \
             export_network_dot(net, profiles, spec)
+
+    @given(st.lists(st.text(), min_size=1, max_size=3))
+    def test_quote_escapes_each_line_then_joins(self, lines):
+        escaped = [s.replace("\\", "\\\\").replace('"', '\\"') for s in lines]
+        assert report._dot_quote(*lines) == '"' + "\\n".join(escaped) + '"'
 
     def test_missing_profile_rejected(self, study_dataset, study_profiles):
         net, profiles, spec = team3_inputs(study_dataset, study_profiles)

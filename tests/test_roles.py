@@ -59,7 +59,7 @@ class TestClassify:
             Thresholds(quantity_cut=0.0)
         with pytest.raises(ValueError):
             Thresholds(heterogeneity_cut=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Thresholds(boundary_rule="low_inclusive")
 
 
