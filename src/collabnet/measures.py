@@ -11,6 +11,7 @@ each type the project offers.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -38,7 +39,9 @@ class BipartiteNetwork:
     def __post_init__(self):
         adjacency: dict[str, set[str]] = {s: set() for s in self.student_nodes}
         for i, j in self.edges:
-            adjacency.setdefault(i, set()).add(j)
+            if i not in adjacency:
+                adjacency[i] = set()
+            adjacency[i].add(j)
         object.__setattr__(self, "_adjacency",
                            {s: frozenset(js) for s, js in adjacency.items()})
 
@@ -66,29 +69,27 @@ def build_network(roster: TeamRoster, spec: ProjectSpec,
         raise ValueError(
             f"roster project {roster.project_id!r} does not match spec {spec.project_id!r}"
         )
-    students = tuple(sorted(roster.members))
-    subtask_ids = set(spec.subtask_ids)
-    edges = set()
-    for rec in interactions:
-        if rec.team_id != roster.team_id or rec.project_id != roster.project_id:
-            continue
-        if rec.student_id not in roster.members:
+    team_id, project_id = roster.team_id, roster.project_id
+    # distinct pairs in first-seen order, so the first offending event raises
+    pairs = dict.fromkeys((rec.student_id, rec.subtask_id) for rec in interactions
+                          if rec.team_id == team_id and rec.project_id == project_id)
+    for student_id, subtask_id in pairs:
+        if student_id not in roster.members:
             raise ValueError(
-                f"interaction references non-member {rec.student_id!r}"
-                f" of team {roster.team_id!r}"
+                f"interaction references non-member {student_id!r}"
+                f" of team {team_id!r}"
             )
-        if rec.subtask_id not in subtask_ids:
+        if subtask_id not in spec._by_id:
             raise ValueError(
-                f"interaction references unknown subtask {rec.subtask_id!r}"
+                f"interaction references unknown subtask {subtask_id!r}"
                 f" in project {spec.project_id!r}"
             )
-        edges.add((rec.student_id, rec.subtask_id))
     return BipartiteNetwork(
-        team_id=roster.team_id,
-        project_id=roster.project_id,
-        student_nodes=students,
-        subtask_nodes=tuple(sorted(subtask_ids)),
-        edges=frozenset(edges),
+        team_id=team_id,
+        project_id=project_id,
+        student_nodes=tuple(sorted(roster.members)),
+        subtask_nodes=tuple(sorted(spec.subtask_ids)),
+        edges=frozenset(pairs),
     )
 
 
@@ -107,7 +108,8 @@ def weighted_degree(net: BipartiteNetwork, spec: ProjectSpec, student_id: str) -
         raise ValueError(
             f"spec project {spec.project_id!r} does not match network {net.project_id!r}"
         )
-    got = sum(spec.subtask(j).points for j in net._touched(student_id))
+    by_id = spec._by_id
+    got = sum(by_id[j].points for j in net._touched(student_id))
     return got / spec.total_weight
 
 
@@ -127,8 +129,9 @@ def type_histogram(net: BipartiteNetwork, spec: ProjectSpec, student_id: str) ->
             f"spec project {spec.project_id!r} does not match network {net.project_id!r}"
         )
     counts = {t: 0 for t in sorted(spec.type_capacities)}
+    by_id = spec._by_id
     for j in net._touched(student_id):
-        counts[spec.subtask(j).task_type] += 1
+        counts[by_id[j].task_type] += 1
     return TypeHistogram(student_id=student_id, counts=counts, total=sum(counts.values()))
 
 
@@ -209,4 +212,13 @@ def heterogeneity(hist: TypeHistogram, capacities: Mapping[str, int]) -> float:
     if raw == 0.0:
         return 0.0
     # raw <= Q holds mathematically; clamp the last-ulp float noise
-    return min(raw / max_entropy_constant(hist.total, capacities), 1.0)
+    return min(raw / _max_entropy(hist.total, tuple(capacities.items())), 1.0)
+
+
+@functools.lru_cache(maxsize=1024)
+def _max_entropy(n: int, capacities: tuple[tuple[str, int], ...]) -> float:
+    """max_entropy_constant memoized per (n, capacities in insertion order).
+
+    The order stays in the key because _entropy sums in that order.
+    """
+    return max_entropy_constant(n, dict(capacities))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 SUBTASK_FIELDS = ("project_id", "subtask_id", "task_type", "points")
@@ -39,7 +40,7 @@ class DataFormatError(ValueError):
     """Malformed input data; the message names the file location when known."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subtask:
     """One teacher-authored unit of work with a type label and point value."""
 
@@ -66,6 +67,8 @@ class ProjectSpec:
     project_id: str
     subtasks: tuple[Subtask, ...]
     type_capacities: dict[str, int] = field(init=False, compare=False, repr=False)
+    total_weight: int = field(init=False, compare=False, repr=False)
+    subtask_ids: tuple[str, ...] = field(init=False, compare=False, repr=False)
     _by_id: dict[str, Subtask] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -85,21 +88,15 @@ class ProjectSpec:
             by_id[st.subtask_id] = st
             caps[st.task_type] = caps.get(st.task_type, 0) + 1
         object.__setattr__(self, "type_capacities", caps)
+        object.__setattr__(self, "total_weight", sum(st.points for st in self.subtasks))
+        object.__setattr__(self, "subtask_ids", tuple(by_id))
         object.__setattr__(self, "_by_id", by_id)
-
-    @property
-    def total_weight(self) -> int:
-        return sum(st.points for st in self.subtasks)
-
-    @property
-    def subtask_ids(self) -> tuple[str, ...]:
-        return tuple(st.subtask_id for st in self.subtasks)
 
     def subtask(self, subtask_id: str) -> Subtask:
         return self._by_id[subtask_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TeamRoster:
     """Membership of one team in one project, with an optional assigned leader.
 
@@ -119,7 +116,7 @@ class TeamRoster:
             raise ValueError(f"team {self.team_id!r} has no members")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionRecord:
     """One raw student-subtask interaction event."""
 
@@ -130,7 +127,7 @@ class InteractionRecord:
     timestamp: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One referential-integrity breach; violations are data, not errors."""
 
@@ -193,33 +190,70 @@ def _require_format(fmt: str) -> str:
     return fmt
 
 
-def _read_csv_rows(path, required: tuple[str, ...]) -> list[tuple[int, dict]]:
-    """Read CSV rows as (line_number, row_dict), checking the header."""
+# Columns quoted raw in their error messages; every other column is text.
+_RAW_COLUMNS = frozenset({"points", "is_leader"})
+
+
+def _read_csv_rows(path, columns: tuple[str, ...]):
+    """Yield (line, values) for each non-blank CSV row, after checking the header.
+
+    values holds the row's fields named by columns, in that order. The rules
+    are csv.DictReader's, without a dict per row: a repeated header name
+    takes its last column, a field past the end of a short row reads None,
+    and extra fields are ignored. line is the physical line on which the
+    row starts, so blank lines and quoted line breaks are counted.
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
+        reader = csv.reader(fh)
+        index = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [c for c in columns if c not in index]
         if missing:
             raise DataFormatError(f"{path}: missing column(s) {', '.join(missing)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            rows.append((lineno, row))
-    return rows
+        positions = [index[c] for c in columns]
+        pick, width = itemgetter(*positions), max(positions) + 1
+        line = reader.line_num + 1
+        for row in reader:
+            if len(row) >= width:
+                yield line, pick(row)
+            elif row:
+                yield line, tuple(row[i] if i < len(row) else None for i in positions)
+            line = reader.line_num + 1
 
 
-def _read_json_rows(path, key: str) -> list[tuple[int, dict]]:
-    """Read one section of a JSON bundle as (index, row_dict) pairs."""
+def _read_json(path):
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _json_text(value) -> str | None:
+    """A JSON value as a CSV field would carry it: str, or None when missing."""
+    return None if value is None or value == "" else str(value)
+
+
+def _json_rows(doc, path, key: str, columns: tuple[str, ...]):
+    """One section of a parsed JSON bundle as (index, values) pairs.
+
+    The section is checked at the call. values holds the row's fields named
+    by columns, in that order, with text columns converted by _json_text.
+    """
     if not isinstance(doc, dict) or key not in doc:
         raise DataFormatError(f"{path}: expected a JSON object with a {key!r} key")
     section = doc[key]
     if not isinstance(section, list):
         raise DataFormatError(f"{path}: {key!r} must be a list of row objects")
-    return [(i, row) for i, row in enumerate(section)]
+    raw = [c in _RAW_COLUMNS for c in columns]
+    return ((i, tuple(row.get(c) if r else _json_text(row.get(c))
+                      for c, r in zip(columns, raw)))
+            for i, row in enumerate(section))
+
+
+def _rows(path, fmt: str, section: str, columns: tuple[str, ...]):
+    if _require_format(fmt) == "csv":
+        return _read_csv_rows(path, columns)
+    return _json_rows(_read_json(path), path, section, columns)
 
 
 class _RowError(ValueError):
@@ -230,11 +264,11 @@ def _location(path, fmt: str, section: str, loc: int) -> str:
     return f"{path}:{'line' if fmt == 'csv' else section}[{loc}]"
 
 
-def _row_value(row: dict, column: str) -> str:
-    value = row.get(column)
-    if value is None or value == "":
-        raise _RowError(f"missing value for {column!r}")
-    return str(value)
+def _require_values(values, columns: tuple[str, ...]) -> None:
+    """Reject the row at its first missing value, in column order."""
+    for value, column in zip(values, columns):
+        if value is None or value == "":
+            raise _RowError(f"missing value for {column!r}")
 
 
 def _parse_points(raw) -> int:
@@ -247,29 +281,26 @@ def _parse_points(raw) -> int:
     return points
 
 
-def parse_project_specs(path, fmt: str = "csv") -> dict[str, ProjectSpec]:
-    """Parse subtask rows into one ProjectSpec per project, in file order."""
-    _require_format(fmt)
-    rows = (_read_csv_rows(path, SUBTASK_FIELDS) if fmt == "csv"
-            else _read_json_rows(path, "projects"))
+def _project_specs(rows, path, fmt: str) -> dict[str, ProjectSpec]:
     by_project: dict[str, list[Subtask]] = {}
     seen: set[tuple[str, str]] = set()
-    for loc, row in rows:
+    for loc, (project_id, subtask_id, task_type, raw_points) in rows:
         try:
-            project_id = _row_value(row, "project_id")
-            subtask_id = _row_value(row, "subtask_id")
-            task_type = _row_value(row, "task_type")
-            points = _parse_points(row.get("points"))
+            _require_values((project_id, subtask_id, task_type), SUBTASK_FIELDS)
+            points = _parse_points(raw_points)
             if (project_id, subtask_id) in seen:
                 raise _RowError(f"duplicate subtask_id {subtask_id!r}")
         except _RowError as exc:
             raise DataFormatError(f"{_location(path, fmt, 'projects', loc)}: {exc}") from None
         seen.add((project_id, subtask_id))
         by_project.setdefault(project_id, []).append(
-            Subtask(subtask_id=subtask_id, project_id=project_id,
-                    task_type=task_type, points=points)
-        )
+            Subtask(subtask_id, project_id, task_type, points))
     return {pid: ProjectSpec(pid, tuple(sts)) for pid, sts in by_project.items()}
+
+
+def parse_project_specs(path, fmt: str = "csv") -> dict[str, ProjectSpec]:
+    """Parse subtask rows into one ProjectSpec per project, in file order."""
+    return _project_specs(_rows(path, fmt, "projects", SUBTASK_FIELDS), path, fmt)
 
 
 def parse_project_spec(path, fmt: str = "csv") -> ProjectSpec:
@@ -282,66 +313,59 @@ def parse_project_spec(path, fmt: str = "csv") -> ProjectSpec:
     return next(iter(specs.values()))
 
 
-def parse_team_rosters(path, fmt: str = "csv") -> tuple[TeamRoster, ...]:
-    """Parse team membership rows into rosters, one per (project, team)."""
-    _require_format(fmt)
-    rows = (_read_csv_rows(path, TEAM_FIELDS) if fmt == "csv"
-            else _read_json_rows(path, "teams"))
+def _team_rosters(rows, path, fmt: str) -> tuple[TeamRoster, ...]:
     members: dict[tuple[str, str], set[str]] = {}
     leaders: dict[tuple[str, str], str] = {}
-    order: list[tuple[str, str]] = []
-    for loc, row in rows:
+    for loc, (project_id, team_id, student_id, raw_leader) in rows:
         try:
-            project_id = _row_value(row, "project_id")
-            team_id = _row_value(row, "team_id")
-            student_id = _row_value(row, "student_id")
-            raw_leader = row.get("is_leader")
+            _require_values((project_id, team_id, student_id), TEAM_FIELDS)
             if str(raw_leader) not in ("0", "1"):
                 raise _RowError(f"is_leader must be 0 or 1, got {raw_leader!r}")
             key = (project_id, team_id)
-            if str(raw_leader) == "1" and leaders.get(key, student_id) != student_id:
+            is_leader = str(raw_leader) == "1"
+            if is_leader and leaders.get(key, student_id) != student_id:
                 raise _RowError(
                     f"team {team_id!r} in project {project_id!r} has two leaders")
         except _RowError as exc:
             raise DataFormatError(f"{_location(path, fmt, 'teams', loc)}: {exc}") from None
-        if key not in members:
-            members[key] = set()
-            order.append(key)
-        members[key].add(student_id)
-        if str(raw_leader) == "1":
+        members.setdefault(key, set()).add(student_id)
+        if is_leader:
             leaders[key] = student_id
-    return tuple(
-        TeamRoster(team_id=tid, project_id=pid,
-                   members=frozenset(members[(pid, tid)]),
-                   leader=leaders.get((pid, tid)))
-        for pid, tid in order
-    )
+    return tuple(TeamRoster(tid, pid, frozenset(team), leaders.get((pid, tid)))
+                 for (pid, tid), team in members.items())
+
+
+def parse_team_rosters(path, fmt: str = "csv") -> tuple[TeamRoster, ...]:
+    """Parse team membership rows into rosters, one per (project, team)."""
+    return _team_rosters(_rows(path, fmt, "teams", TEAM_FIELDS), path, fmt)
+
+
+def _interactions(rows, path, fmt: str) -> tuple[InteractionRecord, ...]:
+    records = []
+    append = records.append
+    for loc, (project_id, team_id, student_id, subtask_id, ts) in rows:
+        if not (project_id and team_id and student_id and subtask_id):
+            try:
+                _require_values((project_id, team_id, student_id, subtask_id),
+                                INTERACTION_FIELDS)
+            except _RowError as exc:
+                raise DataFormatError(
+                    f"{_location(path, fmt, 'interactions', loc)}: {exc}") from None
+        append(InteractionRecord(project_id, team_id, student_id, subtask_id, ts or None))
+    return tuple(records)
 
 
 def parse_interactions(path, fmt: str = "csv") -> tuple[InteractionRecord, ...]:
     """Parse interaction events in file order; duplicates are preserved."""
-    _require_format(fmt)
-    rows = (_read_csv_rows(path, INTERACTION_FIELDS) if fmt == "csv"
-            else _read_json_rows(path, "interactions"))
-    records = []
-    for loc, row in rows:
-        ts = row.get("timestamp")
-        try:
-            records.append(InteractionRecord(
-                project_id=_row_value(row, "project_id"),
-                team_id=_row_value(row, "team_id"),
-                student_id=_row_value(row, "student_id"),
-                subtask_id=_row_value(row, "subtask_id"),
-                timestamp=str(ts) if ts not in (None, "") else None,
-            ))
-        except _RowError as exc:
-            raise DataFormatError(
-                f"{_location(path, fmt, 'interactions', loc)}: {exc}") from None
-    return tuple(records)
+    return _interactions(_rows(path, fmt, "interactions", INTERACTION_FIELDS), path, fmt)
 
 
 def load_dataset(path, fmt: str | None = None) -> Dataset:
-    """Load a dataset from a JSON bundle file or a directory of the three CSVs."""
+    """Load a dataset from a JSON bundle file or a directory of the three CSVs.
+
+    A JSON bundle is parsed once; its sections are then checked in the order
+    projects, teams, interactions, metadata.
+    """
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.is_dir() else "json"
@@ -349,11 +373,12 @@ def load_dataset(path, fmt: str | None = None) -> Dataset:
     if fmt == "json":
         if not path.is_file():
             raise FileNotFoundError(f"dataset bundle not found: {path}")
-        projects = parse_project_specs(path, "json")
-        rosters = parse_team_rosters(path, "json")
-        interactions = parse_interactions(path, "json")
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(path)
+        projects = _project_specs(
+            _json_rows(doc, path, "projects", SUBTASK_FIELDS), path, fmt)
+        rosters = _team_rosters(_json_rows(doc, path, "teams", TEAM_FIELDS), path, fmt)
+        interactions = _interactions(
+            _json_rows(doc, path, "interactions", INTERACTION_FIELDS), path, fmt)
         metadata = doc.get("metadata", {})
         if not isinstance(metadata, dict):
             raise DataFormatError(f"{path}: 'metadata' must be an object")
@@ -474,17 +499,21 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
                 f" in project {pid!r}",
             ))
 
-    known_subtasks = {pid: set(spec.subtask_ids) for pid, spec in dataset.projects.items()}
+    known_subtasks = {pid: spec._by_id for pid, spec in dataset.projects.items()}
     for idx, rec in enumerate(dataset.interactions):
+        subtasks = known_subtasks.get(rec.project_id)
+        roster = roster_index.get((rec.project_id, rec.team_id))
+        if (subtasks is not None and rec.subtask_id in subtasks
+                and roster is not None and rec.student_id in roster.members):
+            continue
         ident = (f"interaction[{idx}] ({rec.student_id!r} on {rec.subtask_id!r},"
                  f" team {rec.team_id!r}, project {rec.project_id!r})")
-        if rec.project_id not in dataset.projects:
+        if subtasks is None:
             violations.append(Violation(
                 UNKNOWN_PROJECT, f"{ident}: unknown project"))
-        elif rec.subtask_id not in known_subtasks[rec.project_id]:
+        elif rec.subtask_id not in subtasks:
             violations.append(Violation(
                 UNKNOWN_SUBTASK, f"{ident}: unknown subtask"))
-        roster = roster_index.get((rec.project_id, rec.team_id))
         if roster is None:
             violations.append(Violation(
                 UNKNOWN_TEAM, f"{ident}: no roster for this team"))

@@ -52,29 +52,57 @@ def export_network_dot(net: BipartiteNetwork, profiles: Sequence[ContributionPro
     if missing:
         raise ValueError(f"profiles missing for students {missing}")
 
+    block, subtask_ids = _subtask_nodes(spec, net.subtask_nodes)
+    quoted = dict(zip(net.subtask_nodes, subtask_ids))
     lines = [f"graph {_dot_quote(f'collab_{net.project_id}_{net.team_id}')} {{"]
     lines.append("  rankdir=LR;")
     lines.append('  node [fontsize=10, fontname="Helvetica"];')
     lines.append("  { rank=source;")
     for student in net.student_nodes:
+        quoted[student] = q = _dot_quote(student)
         attrs = ["shape=ellipse", 'style=filled']
         if by_student[student].is_assigned_leader:
             attrs += ['fillcolor="#ffd27f"', "peripheries=2",
                       f"label={_dot_quote(student, '(leader)')}"]
         else:
-            attrs += ['fillcolor="#e8e8e8"', f"label={_dot_quote(student)}"]
-        lines.append(f"    {_dot_quote(student)} [{', '.join(attrs)}];")
+            attrs += ['fillcolor="#e8e8e8"', f"label={q}"]
+        lines.append(f"    {q} [{', '.join(attrs)}];")
     lines.append("  }")
-    lines.append("  { rank=sink;")
-    for sid in net.subtask_nodes:
-        st = spec.subtask(sid)
-        label = _dot_quote(sid, f"{st.task_type} ({st.points})")
-        lines.append(f"    {_dot_quote(sid)} [shape=box, label={label}];")
-    lines.append("  }")
+    lines.append(block)
     for student, sid in sorted(net.edges):
-        lines.append(f"  {_dot_quote(student)} -- {_dot_quote(sid)};")
+        lines.append(f"  {quoted.get(student) or _dot_quote(student)}"
+                     f" -- {quoted.get(sid) or _dot_quote(sid)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# (spec, subtask nodes, rank=sink block, quoted node ids) of the last call
+_last_subtask_nodes: tuple = (None, (), "", ())
+
+
+def _subtask_nodes(spec: ProjectSpec, subtask_nodes: tuple[str, ...],
+                   ) -> tuple[str, tuple[str, ...]]:
+    """The rank=sink block of a network's subtask nodes, and their quoted ids.
+
+    Both depend only on the spec and the nodes, which every team of a
+    project shares, so the last result is reused while the spec is the same
+    object and the nodes are equal. The spec is compared by identity: by
+    value it would cost as much as rendering the block.
+    """
+    global _last_subtask_nodes
+    last_spec, last_nodes, block, quoted = _last_subtask_nodes
+    if last_spec is spec and last_nodes == subtask_nodes:
+        return block, quoted
+    quoted = tuple(map(_dot_quote, subtask_nodes))
+    lines = ["  { rank=sink;"]
+    for sid, q in zip(subtask_nodes, quoted):
+        st = spec.subtask(sid)
+        lines.append(f"    {q} [shape=box,"
+                     f" label={_dot_quote(sid, f'{st.task_type} ({st.points})')}];")
+    lines.append("  }")
+    block = "\n".join(lines)
+    _last_subtask_nodes = (spec, subtask_nodes, block, quoted)
+    return block, quoted
 
 
 def _x(q: float) -> str:

@@ -1,5 +1,6 @@
-"""Golden outputs of `collabnet analyze --data fixtures/study` (default flags)
-and of the `stats` and `transitions` subcommands on the same fixture.
+"""Golden outputs of `collabnet analyze --data fixtures/study` (default flags),
+of the `stats` and `transitions` subcommands on the same fixture, and of
+`collabnet analyze` on a seeded 40-team synthetic cohort written as CSV.
 
 The determinism criterion only checks that two runs agree with each other;
 these constants pin what the runs write. A change that moves any of them
@@ -13,9 +14,13 @@ import json
 
 import pytest
 
+from collabnet import synth
 from collabnet.cli import main as cli_main
+from collabnet.model import write_dataset
+from collabnet.roles import Role
+from collabnet.synth import PlantedCohortSpec, RoleTarget
 
-from conftest import FIXTURES
+from conftest import FIXTURES, TP1_TEMPLATE
 
 FILE_SHA256 = {
     "network_TP1_Team_1.dot": "34210fb4f9e9d986a30c261afd036e20c4bfef51712aa67a3348f011b262f422",
@@ -65,6 +70,23 @@ BARNARD_EXACT = {"test": "barnard", "t": 2.026026679188629, "grid_resolution": 0
 BARNARD_CLOSE = {"p": 0.050922814720210215, "p_one_sided": 0.02811043589769254,
                  "p_two_sided": 0.050922814720210215,
                  "nuisance_argmax": 0.39812687998254503}
+
+
+# One project, 40 teams of four; every fourth student has no events.
+COHORT = PlantedCohortSpec(seed=5, groups=40, group_size=4, project=TP1_TEMPLATE, targets=(
+    RoleTarget(Role.COMPREHENSIVE_CONTRIBUTOR, (0.6, 0.9), (0.7, 0.95), is_leader=True),
+    RoleTarget(Role.SPECIALIZED_CONTRIBUTOR, (0.55, 0.75), (0.0, 0.4)),
+    RoleTarget(Role.VERSATILE_PARTICIPANT, (0.08, 0.35), (0.65, 0.95)),
+    RoleTarget(Role.FREE_RIDER, (0.0, 0.0), (0.0, 0.0)),
+))
+# SHA-256 of json.dumps({dot file name: SHA-256}, sort_keys=True) over the 40 DOT files
+COHORT_DOT_MANIFEST_SHA256 = "c7efd75a90eea70b9ad83ba9177dea6fd7e80517ef7ab10183ae7a739c2acc5d"
+COHORT_FILE_SHA256 = {
+    "quadrant_TP1.svg": "12953a391c8ae068b4067a092d178f445de3dbc4bda599cecb4507172bea0fb8",
+    "report.json": "e0f752ab7833bca8f99a22db111debf5de4df51ed5047acd5af701e5037687a5",
+}
+# standard output, with the output directory written as <out>
+COHORT_STDOUT_SHA256 = "ca8644a4658bc087ea9a16fb3e3c9270a499f40e5ed6848753e998057ba16f0b"
 
 
 def _sha256(data: bytes) -> str:
@@ -124,3 +146,22 @@ def test_transitions_file_matches_pinned_values(tmp_path, capsys):
     assert list(doc) == [*TRANSITIONS_TP1_TP2, "barnard"]
     _assert_pinned_barnard(doc.pop("barnard"))
     assert doc == TRANSITIONS_TP1_TP2
+
+
+def test_cohort_outputs_match_pinned_digests(tmp_path, capsys):
+    dataset = synth.generate_cohort(COHORT)
+    members = {s for r in dataset.rosters for s in r.members}
+    silent = members - {i.student_id for i in dataset.interactions}
+    assert len(dataset.rosters) == 40 and len(silent) == 40
+    write_dataset(dataset, tmp_path / "data")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli_main(["analyze", "--data", str(tmp_path / "data"), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
+    files = {p.name: _sha256(p.read_bytes()) for p in out.iterdir()}
+    dots = {name: digest for name, digest in files.items() if name.endswith(".dot")}
+    assert len(dots) == 40
+    assert _sha256(json.dumps(dots, sort_keys=True).encode("utf-8")) == \
+        COHORT_DOT_MANIFEST_SHA256
+    assert {name: files[name] for name in files.keys() - dots.keys()} == COHORT_FILE_SHA256
+    assert _sha256(stdout.encode("utf-8")) == COHORT_STDOUT_SHA256

@@ -1,0 +1,320 @@
+"""CSV and JSON ingest: the csv.reader parsers against a csv.DictReader oracle,
+physical line numbers in error messages, and one JSON parse per bundle.
+
+The reference parsers below are the DictReader-based ones the package used
+before it read CSVs positionally. They number rows by counting the rows
+DictReader returns, so on a file with blank lines or quoted line breaks
+their line numbers are mapped to physical lines before messages are
+compared; every other byte of a message must match.
+"""
+
+import csv
+import io
+import json
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from collabnet import model
+from collabnet.model import (
+    INTERACTION_FIELDS,
+    SUBTASK_FIELDS,
+    TEAM_FIELDS,
+    DataFormatError,
+    InteractionRecord,
+    ProjectSpec,
+    Subtask,
+    TeamRoster,
+    load_dataset,
+    parse_interactions,
+    parse_project_specs,
+    parse_team_rosters,
+    write_dataset,
+)
+
+from conftest import FIXTURES
+
+# ---------------------------------------------------------------------------
+# Reference: the DictReader parsers
+# ---------------------------------------------------------------------------
+
+
+class _RefRowError(ValueError):
+    pass
+
+
+def _ref_rows(path, required):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise DataFormatError(f"{path}: missing column(s) {', '.join(missing)}")
+        return list(enumerate(reader, start=2))
+
+
+def _ref_value(row, column):
+    value = row.get(column)
+    if value is None or value == "":
+        raise _RefRowError(f"missing value for {column!r}")
+    return str(value)
+
+
+def _ref_points(raw):
+    try:
+        points = int(raw)
+    except (TypeError, ValueError):
+        raise _RefRowError(f"points must be an integer, got {raw!r}") from None
+    if points < 1:
+        raise _RefRowError(f"points must be positive, got {points}")
+    return points
+
+
+def ref_project_specs(path):
+    by_project, seen = {}, set()
+    for loc, row in _ref_rows(path, SUBTASK_FIELDS):
+        try:
+            project_id = _ref_value(row, "project_id")
+            subtask_id = _ref_value(row, "subtask_id")
+            task_type = _ref_value(row, "task_type")
+            points = _ref_points(row.get("points"))
+            if (project_id, subtask_id) in seen:
+                raise _RefRowError(f"duplicate subtask_id {subtask_id!r}")
+        except _RefRowError as exc:
+            raise DataFormatError(f"{path}:line[{loc}]: {exc}") from None
+        seen.add((project_id, subtask_id))
+        by_project.setdefault(project_id, []).append(
+            Subtask(subtask_id=subtask_id, project_id=project_id,
+                    task_type=task_type, points=points))
+    return {pid: ProjectSpec(pid, tuple(sts)) for pid, sts in by_project.items()}
+
+
+def ref_team_rosters(path):
+    members, leaders, order = {}, {}, []
+    for loc, row in _ref_rows(path, TEAM_FIELDS):
+        try:
+            project_id = _ref_value(row, "project_id")
+            team_id = _ref_value(row, "team_id")
+            student_id = _ref_value(row, "student_id")
+            raw_leader = row.get("is_leader")
+            if str(raw_leader) not in ("0", "1"):
+                raise _RefRowError(f"is_leader must be 0 or 1, got {raw_leader!r}")
+            key = (project_id, team_id)
+            if str(raw_leader) == "1" and leaders.get(key, student_id) != student_id:
+                raise _RefRowError(
+                    f"team {team_id!r} in project {project_id!r} has two leaders")
+        except _RefRowError as exc:
+            raise DataFormatError(f"{path}:line[{loc}]: {exc}") from None
+        if key not in members:
+            members[key] = set()
+            order.append(key)
+        members[key].add(student_id)
+        if str(raw_leader) == "1":
+            leaders[key] = student_id
+    return tuple(TeamRoster(team_id=tid, project_id=pid,
+                            members=frozenset(members[(pid, tid)]),
+                            leader=leaders.get((pid, tid)))
+                 for pid, tid in order)
+
+
+def ref_interactions(path):
+    records = []
+    for loc, row in _ref_rows(path, INTERACTION_FIELDS):
+        ts = row.get("timestamp")
+        try:
+            records.append(InteractionRecord(
+                project_id=_ref_value(row, "project_id"),
+                team_id=_ref_value(row, "team_id"),
+                student_id=_ref_value(row, "student_id"),
+                subtask_id=_ref_value(row, "subtask_id"),
+                timestamp=str(ts) if ts not in (None, "") else None,
+            ))
+        except _RefRowError as exc:
+            raise DataFormatError(f"{path}:line[{loc}]: {exc}") from None
+    return tuple(records)
+
+
+PARSERS = {
+    "subtasks": (SUBTASK_FIELDS, parse_project_specs, ref_project_specs),
+    "teams": (TEAM_FIELDS, parse_team_rosters, ref_team_rosters),
+    "interactions": (INTERACTION_FIELDS, parse_interactions, ref_interactions),
+}
+
+# ---------------------------------------------------------------------------
+# Generated CSV files
+# ---------------------------------------------------------------------------
+
+# Each field is usually a value its column accepts, sometimes any of VALUES.
+GOOD = {"points": ("1", "2", "10"), "is_leader": ("0", "0", "1")}
+GOOD_TEXT = ("A", "B1", "x,y", 'say "hi"', "two\nlines", " ")
+VALUES = ("", "0", "1", "-2", "A", "x,y", 'say "hi"', "two\nlines", " ")
+
+
+@st.composite
+def csv_files(draw, columns):
+    """(text, physical start line of each non-blank data row) for a CSV file."""
+    header = list(columns) + draw(st.lists(st.sampled_from(("extra", "notes")), max_size=2))
+    header += draw(st.lists(st.sampled_from(columns), max_size=2))   # duplicate names
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(columns)))                # a missing column
+    header = draw(st.permutations(header))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    starts = []
+    for _ in range(draw(st.integers(0, 8))):
+        out.write("\n" * draw(st.sampled_from((0, 0, 0, 1, 2))))      # blank lines
+        width = len(header) + draw(st.sampled_from((0,) * 12 + (-1, -3, 1, 2)))
+        names = header + ["extra"] * 2
+        row = [draw(st.sampled_from(VALUES if draw(st.integers(0, 30)) == 0
+                                    else GOOD.get(name, GOOD_TEXT)))
+               for name in names[:max(width, 1)]]
+        starts.append(out.getvalue().count("\n") + 1)
+        writer.writerow(row)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + out.getvalue(), starts
+
+
+def _outcome(parse, path):
+    try:
+        return "ok", parse(path)
+    except DataFormatError as exc:
+        return "error", str(exc)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest")
+
+
+@pytest.mark.parametrize("name", list(PARSERS))
+def test_parser_matches_dictreader_reference(name, scratch):
+    columns, parse, reference = PARSERS[name]
+
+    @given(csv_files(columns))
+    @settings(max_examples=300, deadline=None)
+    def check(generated):
+        text, starts = generated
+        path = scratch / f"{name}.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got, expected = _outcome(parse, path), _outcome(reference, path)
+        if expected[0] == "error":
+            # the reference counts rows; the parser reports physical lines
+            expected = ("error", re.sub(r":line\[(\d+)\]",
+                                        lambda m: f":line[{starts[int(m[1]) - 2]}]",
+                                        expected[1]))
+        assert got == expected
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Physical line numbers
+# ---------------------------------------------------------------------------
+
+def _study_with(tmp_path, edit):
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in (FIXTURES / "study").glob("*.csv"):
+        (data / src.name).write_bytes(src.read_bytes())
+    path = data / "interactions.csv"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    edit(lines)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return data, path
+
+
+def _drop_student(lines, index):
+    fields = lines[index].split(",")
+    fields[2] = ""
+    lines[index] = ",".join(fields)
+
+
+def test_error_after_a_blank_line_names_the_physical_line(tmp_path):
+    def edit(lines):
+        lines.insert(3, "")           # physical line 4 is blank
+        _drop_student(lines, 5)       # physical line 6
+    data, path = _study_with(tmp_path, edit)
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(data)
+    assert str(info.value) == f"{path}:line[6]: missing value for 'student_id'"
+
+
+def test_error_after_a_multiline_field_names_the_physical_line(tmp_path):
+    def edit(lines):
+        lines[2] += '"first\nsecond"'  # row 3's timestamp spans physical lines 3 and 4
+        _drop_student(lines, 4)        # physical line 6
+    data, path = _study_with(tmp_path, edit)
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(data)
+    assert str(info.value) == f"{path}:line[6]: missing value for 'student_id'"
+
+
+def test_multiline_field_is_kept_whole(tmp_path):
+    def edit(lines):
+        lines[2] += '"first\nsecond"'
+    _, path = _study_with(tmp_path, edit)
+    plain = parse_interactions(FIXTURES / "study" / "interactions.csv")
+    records = parse_interactions(path)
+    assert records[1].timestamp == "first\nsecond"
+    assert records[:1] + records[2:] == plain[:1] + plain[2:]
+
+
+def test_error_without_blank_lines_keeps_its_row_number(tmp_path):
+    data, path = _study_with(tmp_path, lambda lines: _drop_student(lines, 5))
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(data)
+    assert str(info.value) == f"{path}:line[6]: missing value for 'student_id'"
+
+
+# ---------------------------------------------------------------------------
+# JSON bundles
+# ---------------------------------------------------------------------------
+
+def test_json_bundle_is_parsed_once(study_dataset, tmp_path, monkeypatch):
+    write_dataset(study_dataset, tmp_path, fmt="json")
+    calls = []
+    real_load = json.load
+
+    def counting_load(fh, *args, **kwargs):
+        calls.append(fh.name)
+        return real_load(fh, *args, **kwargs)
+
+    monkeypatch.setattr(model.json, "load", counting_load)
+    assert load_dataset(tmp_path / "dataset.json") == study_dataset
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "expected a JSON object with a 'projects' key"),
+    ({"teams": [], "interactions": []}, "expected a JSON object with a 'projects' key"),
+    ({"projects": [], "teams": 3, "interactions": {}}, "'teams' must be a list of row objects"),
+    ({"projects": [{"project_id": "P1", "subtask_id": "A1", "task_type": "W",
+                    "points": "x"}], "teams": 3},
+     "projects[0]: points must be an integer, got 'x'"),
+    ({"projects": [], "teams": [], "interactions": [], "metadata": [1]},
+     "'metadata' must be an object"),
+])
+def test_json_sections_fail_in_order(doc, message, tmp_path):
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(path)
+    assert str(info.value).startswith(f"{path}")
+    assert str(info.value).endswith(message)
+
+
+def test_json_values_convert_as_before(tmp_path):
+    doc = {
+        "projects": [{"project_id": "P1", "subtask_id": 7, "task_type": "W", "points": 2.0}],
+        "teams": [{"project_id": "P1", "team_id": 0, "student_id": False, "is_leader": 1}],
+        "interactions": [{"project_id": "P1", "team_id": 0, "student_id": False,
+                          "subtask_id": 7, "timestamp": 0}],
+    }
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    ds = load_dataset(path)
+    assert ds.projects["P1"].subtasks == (Subtask("7", "P1", "W", 2),)
+    assert ds.rosters == (TeamRoster("0", "P1", frozenset({"False"}), "False"),)
+    assert ds.interactions == (InteractionRecord("P1", "0", "False", "7", "0"),)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -240,6 +241,21 @@ class TestHeterogeneity:
         hist = TypeHistogram("S1", {"Mystery": 1}, 1)
         with pytest.raises(ValueError, match="Mystery"):
             heterogeneity(hist, TP1_CAPACITIES)
+
+    def test_memo_keeps_capacity_order(self):
+        # the max-entropy sum runs in capacity insertion order, and these
+        # orders give denominators that differ in the last bit
+        caps = {"T0": 21, "T1": 18, "T2": 1}
+        hist = TypeHistogram("S1", {"T0": 14, "T1": 11, "T2": 1}, 26)
+        raw = measures._entropy(hist.counts.values())
+        denominators = set()
+        for order in itertools.permutations(caps):
+            ordered = {t: caps[t] for t in order}
+            expected = min(raw / max_entropy_constant(26, ordered), 1.0)
+            denominators.add(max_entropy_constant(26, ordered))
+            for _ in range(2):  # computed, then memoized
+                assert heterogeneity(hist, ordered) == expected, order
+        assert len(denominators) > 1
 
 
 class TestMeasureRelations:

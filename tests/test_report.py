@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collabnet import measures, pipeline, report
-from collabnet.model import Dataset
+from collabnet.measures import BipartiteNetwork
+from collabnet.model import Dataset, ProjectSpec, Subtask
 from collabnet.report import (
     ReportBundle,
     export_network_dot,
@@ -15,6 +16,29 @@ from collabnet.report import (
 from collabnet.roles import ContributionProfile, Role
 
 from conftest import make_roster, make_spec, parse_dot
+
+
+def reference_dot(net, profiles, spec):
+    """The DOT text as rendered line by line, with no block reuse."""
+    q = report._dot_quote
+    leaders = {p.student_id for p in profiles if p.is_assigned_leader}
+    lines = [f"graph {q(f'collab_{net.project_id}_{net.team_id}')} {{", "  rankdir=LR;",
+             '  node [fontsize=10, fontname="Helvetica"];', "  { rank=source;"]
+    for s in net.student_nodes:
+        if s in leaders:
+            attrs = f'fillcolor="#ffd27f", peripheries=2, label={q(s, "(leader)")}'
+        else:
+            attrs = f'fillcolor="#e8e8e8", label={q(s)}'
+        lines.append(f"    {q(s)} [shape=ellipse, style=filled, {attrs}];")
+    lines.append("  }")
+    lines.append("  { rank=sink;")
+    for sid in net.subtask_nodes:
+        st = spec.subtask(sid)
+        label = q(sid, f"{st.task_type} ({st.points})")
+        lines.append(f"    {q(sid)} [shape=box, label={label}];")
+    lines.append("  }")
+    lines += [f"  {q(s)} -- {q(j)};" for s, j in sorted(net.edges)]
+    return "\n".join(lines) + "\n}\n"
 
 
 def team3_inputs(study_dataset, study_profiles, project="TP1"):
@@ -64,6 +88,32 @@ class TestDotExport:
     def test_quote_escapes_each_line_then_joins(self, lines):
         escaped = [s.replace("\\", "\\\\").replace('"', '\\"') for s in lines]
         assert report._dot_quote(*lines) == '"' + "\\n".join(escaped) + '"'
+
+    def test_subtask_block_for_specs_equal_by_value(self, study_dataset, study_profiles):
+        net, profiles, spec = team3_inputs(study_dataset, study_profiles)
+        twin = ProjectSpec(spec.project_id, tuple(
+            Subtask(st.subtask_id, st.project_id, st.task_type, st.points)
+            for st in spec.subtasks))
+        relabeled = ProjectSpec(spec.project_id, tuple(
+            Subtask(st.subtask_id, st.project_id, st.task_type, 1) for st in spec.subtasks))
+        assert twin == spec and twin is not spec and relabeled != spec
+        for s in (spec, twin, relabeled, spec):
+            assert export_network_dot(net, profiles, s) == reference_dot(net, profiles, s)
+
+    def test_subtask_block_for_nodes_other_than_the_spec(self, study_dataset, study_profiles):
+        net, profiles, spec = team3_inputs(study_dataset, study_profiles)
+        expected = reference_dot(net, profiles, spec)
+        assert export_network_dot(net, profiles, spec) == expected
+        # a user-built network: fewer subtask nodes than the spec, in
+        # another order, and an edge to a node outside them
+        nodes = tuple(reversed(net.subtask_nodes[:5]))
+        edges = {(s, j) for s, j in net.edges if j in nodes} | {("S_x", "TP1-A077")}
+        partial = BipartiteNetwork(net.team_id, net.project_id, net.student_nodes,
+                                   nodes, frozenset(edges))
+        dot = export_network_dot(partial, profiles, spec)
+        assert dot == reference_dot(partial, profiles, spec)
+        assert dot.count("shape=box") == 5
+        assert export_network_dot(net, profiles, spec) == expected
 
     def test_missing_profile_rejected(self, study_dataset, study_profiles):
         net, profiles, spec = team3_inputs(study_dataset, study_profiles)
