@@ -12,7 +12,6 @@ from .measures import (
     BipartiteNetwork,
     TypeHistogram,
     build_network,
-    degree_centrality,
     heterogeneity,
     max_entropy_composition,
     max_entropy_constant,
@@ -30,7 +29,6 @@ from .model import (
     dataset_to_json,
     load_dataset,
     parse_interactions,
-    parse_project_spec,
     parse_project_specs,
     parse_team_rosters,
     validate_dataset,
@@ -55,7 +53,6 @@ from .stats import (
     exact_u_distribution,
     mann_whitney_from_u,
     mann_whitney_u,
-    u_from_samples,
     wald_pooled_statistic,
 )
 from .synth import (
@@ -65,8 +62,6 @@ from .synth import (
     RoleTarget,
     generate_cohort,
     load_cohort_spec,
-    oracle_exact_u_distribution,
-    oracle_max_entropy,
     plant_contribution,
 )
 

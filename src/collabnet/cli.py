@@ -41,8 +41,6 @@ def _analysis_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--data", required=True,
                         help="dataset.json file or directory with the three CSVs")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="input format (default: inferred from --data)")
     _add_out_option(common)
     common.add_argument("--quantity-cut", type=float, default=0.5,
                         help="quantity classification cut in (0,1), default 0.5")
@@ -96,7 +94,7 @@ def _input_digests(data_path: str) -> dict[str, str]:
 
 def _load_valid(args, *project_ids: str) -> Dataset | None:
     """Load and validate --data and check the project ids; print any problem, return None."""
-    dataset = load_dataset(args.data, args.format)
+    dataset = load_dataset(args.data)
     violations = validate_dataset(dataset)
     for v in violations:
         print(f"violation[{v.kind}]: {v.message}", file=sys.stderr)
@@ -238,7 +236,7 @@ def cmd_synth(args) -> int:
         cohort = dataclasses.replace(cohort, seed=args.seed)
     dataset = synth.generate_cohort(cohort)
     out = _out_dir(args)
-    written = write_dataset(dataset, out, fmt=args.format or "csv")
+    written = write_dataset(dataset, out, fmt=args.format)
     profiles = pipeline.project_profiles(dataset)
     _print_role_table(profiles)
     n_students = cohort.groups * cohort.group_size

@@ -45,9 +45,6 @@ class BipartiteNetwork:
         object.__setattr__(self, "_adjacency",
                            {s: frozenset(js) for s, js in adjacency.items()})
 
-    def subtasks_of(self, student_id: str) -> tuple[str, ...]:
-        return tuple(sorted(self._touched(student_id)))
-
     def _touched(self, student_id: str) -> frozenset[str]:
         """The student's incident subtasks; ValueError for a non-member."""
         if student_id not in self.student_nodes:
@@ -91,11 +88,6 @@ def build_network(roster: TeamRoster, spec: ProjectSpec,
         subtask_nodes=tuple(sorted(spec.subtask_ids)),
         edges=frozenset(pairs),
     )
-
-
-def degree_centrality(net: BipartiteNetwork, student_id: str) -> float:
-    """Fraction of the project's subtasks the student is connected to."""
-    return len(net._touched(student_id)) / len(net.subtask_nodes)
 
 
 def weighted_degree(net: BipartiteNetwork, spec: ProjectSpec, student_id: str) -> float:

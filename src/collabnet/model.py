@@ -139,16 +139,14 @@ class Violation:
 class Dataset:
     """A full input bundle: project specs, team rosters, interaction events.
 
-    Rosters and interactions are indexed by (project_id, team_id) once, at
-    construction, so per-team lookups do not rescan the events.
+    Interactions are indexed by (project_id, team_id) once, at construction,
+    so per-team lookups do not rescan the events.
     """
 
     projects: dict[str, ProjectSpec]
     rosters: tuple[TeamRoster, ...]
     interactions: tuple[InteractionRecord, ...]
     metadata: dict[str, str] = field(default_factory=dict)
-    _roster_index: dict[tuple[str, str], TeamRoster] = field(
-        init=False, compare=False, repr=False)
     _interaction_index: dict[tuple[str, str], tuple[InteractionRecord, ...]] = field(
         init=False, compare=False, repr=False)
 
@@ -156,18 +154,11 @@ class Dataset:
         ordered = tuple(sorted(self.rosters, key=lambda r: (r.project_id, r.team_id)))
         object.__setattr__(self, "rosters", ordered)
         object.__setattr__(self, "interactions", tuple(self.interactions))
-        roster_index: dict[tuple[str, str], TeamRoster] = {}
-        for r in ordered:
-            roster_index.setdefault((r.project_id, r.team_id), r)
         groups: dict[tuple[str, str], list[InteractionRecord]] = {}
         for rec in self.interactions:
             groups.setdefault((rec.project_id, rec.team_id), []).append(rec)
-        object.__setattr__(self, "_roster_index", roster_index)
         object.__setattr__(self, "_interaction_index",
                            {key: tuple(recs) for key, recs in groups.items()})
-
-    def roster(self, project_id: str, team_id: str) -> TeamRoster | None:
-        return self._roster_index.get((project_id, team_id))
 
     def project_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.projects))
@@ -250,12 +241,6 @@ def _json_rows(doc, path, key: str, columns: tuple[str, ...]):
             for i, row in enumerate(section))
 
 
-def _rows(path, fmt: str, section: str, columns: tuple[str, ...]):
-    if _require_format(fmt) == "csv":
-        return _read_csv_rows(path, columns)
-    return _json_rows(_read_json(path), path, section, columns)
-
-
 class _RowError(ValueError):
     """A rejected row; the parser prefixes the row's location to the message."""
 
@@ -298,19 +283,9 @@ def _project_specs(rows, path, fmt: str) -> dict[str, ProjectSpec]:
     return {pid: ProjectSpec(pid, tuple(sts)) for pid, sts in by_project.items()}
 
 
-def parse_project_specs(path, fmt: str = "csv") -> dict[str, ProjectSpec]:
-    """Parse subtask rows into one ProjectSpec per project, in file order."""
-    return _project_specs(_rows(path, fmt, "projects", SUBTASK_FIELDS), path, fmt)
-
-
-def parse_project_spec(path, fmt: str = "csv") -> ProjectSpec:
-    """Parse a subtask file that describes exactly one project."""
-    specs = parse_project_specs(path, fmt)
-    if len(specs) != 1:
-        raise DataFormatError(
-            f"{path}: expected exactly one project, found {sorted(specs) or 'none'}"
-        )
-    return next(iter(specs.values()))
+def parse_project_specs(path) -> dict[str, ProjectSpec]:
+    """Parse subtasks.csv rows into one ProjectSpec per project, in file order."""
+    return _project_specs(_read_csv_rows(path, SUBTASK_FIELDS), path, "csv")
 
 
 def _team_rosters(rows, path, fmt: str) -> tuple[TeamRoster, ...]:
@@ -335,9 +310,9 @@ def _team_rosters(rows, path, fmt: str) -> tuple[TeamRoster, ...]:
                  for (pid, tid), team in members.items())
 
 
-def parse_team_rosters(path, fmt: str = "csv") -> tuple[TeamRoster, ...]:
-    """Parse team membership rows into rosters, one per (project, team)."""
-    return _team_rosters(_rows(path, fmt, "teams", TEAM_FIELDS), path, fmt)
+def parse_team_rosters(path) -> tuple[TeamRoster, ...]:
+    """Parse teams.csv membership rows into rosters, one per (project, team)."""
+    return _team_rosters(_read_csv_rows(path, TEAM_FIELDS), path, "csv")
 
 
 def _interactions(rows, path, fmt: str) -> tuple[InteractionRecord, ...]:
@@ -355,41 +330,37 @@ def _interactions(rows, path, fmt: str) -> tuple[InteractionRecord, ...]:
     return tuple(records)
 
 
-def parse_interactions(path, fmt: str = "csv") -> tuple[InteractionRecord, ...]:
-    """Parse interaction events in file order; duplicates are preserved."""
-    return _interactions(_rows(path, fmt, "interactions", INTERACTION_FIELDS), path, fmt)
+def parse_interactions(path) -> tuple[InteractionRecord, ...]:
+    """Parse interactions.csv events in file order; duplicates are preserved."""
+    return _interactions(_read_csv_rows(path, INTERACTION_FIELDS), path, "csv")
 
 
-def load_dataset(path, fmt: str | None = None) -> Dataset:
-    """Load a dataset from a JSON bundle file or a directory of the three CSVs.
+def load_dataset(path) -> Dataset:
+    """Load a dataset from a directory of the three CSVs or a JSON bundle file.
 
-    A JSON bundle is parsed once; its sections are then checked in the order
-    projects, teams, interactions, metadata.
+    A directory is read as CSVs, anything else as a JSON bundle. The bundle
+    is parsed once; its sections are then checked in the order projects,
+    teams, interactions, metadata.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.is_dir() else "json"
-    _require_format(fmt)
-    if fmt == "json":
+    if path.is_dir():
+        projects = parse_project_specs(path / "subtasks.csv")
+        rosters = parse_team_rosters(path / "teams.csv")
+        interactions = parse_interactions(path / "interactions.csv")
+        metadata = {}
+    else:
         if not path.is_file():
             raise FileNotFoundError(f"dataset bundle not found: {path}")
         doc = _read_json(path)
         projects = _project_specs(
-            _json_rows(doc, path, "projects", SUBTASK_FIELDS), path, fmt)
-        rosters = _team_rosters(_json_rows(doc, path, "teams", TEAM_FIELDS), path, fmt)
+            _json_rows(doc, path, "projects", SUBTASK_FIELDS), path, "json")
+        rosters = _team_rosters(_json_rows(doc, path, "teams", TEAM_FIELDS), path, "json")
         interactions = _interactions(
-            _json_rows(doc, path, "interactions", INTERACTION_FIELDS), path, fmt)
+            _json_rows(doc, path, "interactions", INTERACTION_FIELDS), path, "json")
         metadata = doc.get("metadata", {})
         if not isinstance(metadata, dict):
             raise DataFormatError(f"{path}: 'metadata' must be an object")
         metadata = {str(k): str(v) for k, v in metadata.items()}
-    else:
-        if not path.is_dir():
-            raise FileNotFoundError(f"dataset directory not found: {path}")
-        projects = parse_project_specs(path / "subtasks.csv", "csv")
-        rosters = parse_team_rosters(path / "teams.csv", "csv")
-        interactions = parse_interactions(path / "interactions.csv", "csv")
-        metadata = {}
     return Dataset(projects=projects, rosters=rosters,
                    interactions=interactions, metadata=metadata)
 

@@ -9,7 +9,6 @@ grid with a local golden-section refinement.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -46,29 +45,17 @@ def _midranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-def _u_first(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
-    """U statistic of sample_a: the number of (a, b) pairs with a < b, ties half."""
-    n1, n2 = len(sample_a), len(sample_b)
-    ranks = _midranks(list(sample_a) + list(sample_b))
-    r1 = sum(ranks[:n1])
-    return n1 * n2 + n1 * (n1 + 1) / 2 - r1
+def _tie_corrected_sd(ranks: Sequence[float], n1: int, n2: int) -> float:
+    """Standard deviation of U under the null, from the pooled midranks.
 
-
-def u_from_samples(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
-    """Mann-Whitney U via midranks, reported with the min(U_a, U_b) convention."""
-    if not sample_a or not sample_b:
-        raise ValueError("both samples must be nonempty")
-    u_a = _u_first(sample_a, sample_b)
-    return min(u_a, len(sample_a) * len(sample_b) - u_a)
-
-
-def _tie_corrected_sd(pooled: Sequence[float], n1: int, n2: int) -> float:
-    """Standard deviation of U under the null, with the tie correction."""
+    Tied values share one midrank and distinct values get distinct ones, so
+    the tie sizes are the counts of equal midranks.
+    """
     n = n1 + n2
-    tie_term = 0.0
-    for _, group in itertools.groupby(sorted(pooled)):
-        t = len(list(group))
-        tie_term += t**3 - t
+    sizes: dict[float, int] = {}
+    for r in ranks:
+        sizes[r] = sizes.get(r, 0) + 1
+    tie_term = sum(t**3 - t for t in sizes.values())
     var = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
     return math.sqrt(var) if var > 0 else 0.0
 
@@ -98,13 +85,13 @@ def exact_u_distribution(n1: int, n2: int) -> dict[int, int]:
 
 
 def _exact_tail_fractions(u_a: float, n1: int, n2: int,
-                          pooled: Sequence[float]) -> tuple[Fraction, Fraction]:
+                          ranks: Sequence[float]) -> tuple[Fraction, Fraction]:
     """P(U* <= u_a) and P(U* >= u_a) over all C(n1+n2, n1) assignments.
 
     Doubled midranks are integers even with ties, and 2*U_a is base minus
-    their sum over sample a (the first-sample convention of _u_first).
+    their sum over the first n1 of the pooled ranks (sample a).
     """
-    doubled = [int(round(2 * r)) for r in _midranks(pooled)]
+    doubled = [int(round(2 * r)) for r in ranks]
     base = 2 * n1 * n2 + n1 * (n1 + 1)
     counts = _subset_sum_counts(doubled, n1)
     total = math.comb(n1 + n2, n1)
@@ -187,7 +174,7 @@ def _mwu_result(u_a: float, n1: int, n2: int, z: float, p_one: float, p_two: flo
 
 def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], *,
                    tails: str = "one", continuity_correction: bool = False,
-                   method: str = "normal", exact_cap: int = DEFAULT_EXACT_CAP) -> MwuResult:
+                   method: str = "normal") -> MwuResult:
     """Two-sample Mann-Whitney U test with midrank tie handling.
 
     Parameters
@@ -197,10 +184,11 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], *,
     continuity_correction : shrink |U - mean| by 0.5 before the normal score
     method : 'normal' for the tie-corrected normal approximation, 'exact' to
         count all C(n1+n2, n1) group assignments with a subset-sum
-        recurrence over doubled midranks (exact with or without ties)
-    exact_cap : refuse 'exact' above this pooled size
+        recurrence over doubled midranks (exact with or without ties); refused
+        above a pooled size of DEFAULT_EXACT_CAP
 
-    The effect size r is |z| / sqrt(n1 + n2) in every mode.
+    U_a counts the (a, b) pairs with a < b, ties half, from one midranking of
+    the pooled sample. The effect size r is |z| / sqrt(n1 + n2) in every mode.
     """
     if not sample_a or not sample_b:
         raise ValueError("both samples must be nonempty")
@@ -209,16 +197,17 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], *,
         raise ValueError(f"method must be 'normal' or 'exact', got {method!r}")
     n1, n2 = len(sample_a), len(sample_b)
     n = n1 + n2
-    pooled = list(sample_a) + list(sample_b)
-    u_a = _u_first(sample_a, sample_b)
+    ranks = _midranks(list(sample_a) + list(sample_b))
+    u_a = n1 * n2 + n1 * (n1 + 1) / 2 - sum(ranks[:n1])
     mu = n1 * n2 / 2.0
-    sd = _tie_corrected_sd(pooled, n1, n2)
+    sd = _tie_corrected_sd(ranks, n1, n2)
     z = _z_score(u_a, mu, sd, continuity_correction)
 
     if method == "exact":
-        if n > exact_cap:
-            raise ValueError(f"exact method capped at pooled size {exact_cap}, got {n}")
-        lower, upper = _exact_tail_fractions(u_a, n1, n2, pooled)
+        if n > DEFAULT_EXACT_CAP:
+            raise ValueError(
+                f"exact method capped at pooled size {DEFAULT_EXACT_CAP}, got {n}")
+        lower, upper = _exact_tail_fractions(u_a, n1, n2, ranks)
         p_one = float(lower if u_a <= mu else upper)
         p_two = float(min(1, 2 * min(lower, upper)))
     else:
@@ -384,12 +373,14 @@ def barnard_test(table: ContingencyTable2x2, *, tails: str = "two",
     the maximum over the grid, sharpened by one golden-section refinement
     around the grid argmax.
 
-    grid_resolution is the grid step; the default 1e-4 places 9999 interior
-    points, enough for two-digit reproducibility on desk-scale tables.
+    grid_resolution is the grid step, in [1e-6, 0.1]; the default 1e-4 places
+    9999 interior points, enough for two-digit reproducibility on desk-scale
+    tables. The lower bound caps the grid at a million points, since each
+    point holds one float per possible table total.
     """
     _check_tails(tails)
-    if not (0.0 < grid_resolution <= 0.1):
-        raise ValueError(f"grid_resolution must be in (0, 0.1], got {grid_resolution}")
+    if not (1e-6 <= grid_resolution <= 0.1):
+        raise ValueError(f"grid_resolution must be in [1e-06, 0.1], got {grid_resolution}")
     a, b, c, d = table.cells()
     m1, m2 = a + b, c + d
     if m1 == 0 or m2 == 0:

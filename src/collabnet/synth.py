@@ -1,4 +1,4 @@
-"""Synthetic cohorts with planted roles, and brute-force test oracles.
+"""Synthetic cohorts with planted roles.
 
 The generator constructs each student's subtask set explicitly: it picks a
 per-type count mix whose normalized entropy lands in the requested
@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 from . import measures
 from .model import Dataset, InteractionRecord, ProjectSpec, Subtask, TeamRoster
@@ -27,66 +25,6 @@ _MAX_HISTOGRAM_CANDIDATES = 2_000_000
 
 class InfeasibleTargetError(ValueError):
     """A planted target cannot be met; the message names the binding constraint."""
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles
-# ---------------------------------------------------------------------------
-
-def oracle_max_entropy(n: int, capacities: Mapping[str, int], max_n: int = 60) -> float:
-    """Maximum entropy over every capacity-feasible composition of n items.
-
-    Exhaustive enumeration, deliberately independent of the water-filling
-    routine it cross-checks. Capped at n <= max_n (desk scale).
-    """
-    if n < 0 or n != int(n):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if n > max_n:
-        raise ValueError(f"oracle capped at n={max_n}, got {n}")
-    caps = [int(capacities[t]) for t in sorted(capacities)]
-    if any(c < 0 for c in caps):
-        raise ValueError("capacities must be nonnegative")
-    if n > sum(caps):
-        raise ValueError(f"n={n} exceeds total capacity {sum(caps)}")
-    if n == 0:
-        return 0.0
-
-    best = 0.0
-
-    def entropy(parts):
-        return -sum((c / n) * math.log(c / n) for c in parts if c > 0)
-
-    def rec(idx, left, parts):
-        nonlocal best
-        if idx == len(caps) - 1:
-            if left <= caps[idx]:
-                best = max(best, entropy(parts + [left]))
-            return
-        remaining_cap = sum(caps[idx + 1:])
-        for k in range(max(0, left - remaining_cap), min(left, caps[idx]) + 1):
-            rec(idx + 1, left - k, parts + [k])
-
-    rec(0, n, [])
-    return best
-
-
-def oracle_exact_u_distribution(n1: int, n2: int, cap: int = 21) -> dict[int, int]:
-    """Null distribution of U by direct enumeration of all group assignments.
-
-    Tie-free ranks 1..n1+n2; the counts sum to C(n1+n2, n1). Independent of
-    the subset-sum recurrence used by the stats module.
-    """
-    if n1 < 1 or n2 < 1:
-        raise ValueError("both group sizes must be at least 1")
-    n = n1 + n2
-    if n > cap:
-        raise ValueError(f"oracle capped at pooled size {cap}, got {n}")
-    base = n1 * (n1 + 1) // 2
-    counts: dict[int, int] = {}
-    for combo in itertools.combinations(range(1, n + 1), n1):
-        u = sum(combo) - base
-        counts[u] = counts.get(u, 0) + 1
-    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,17 @@ def tp1_spec(seed=7) -> ProjectSpec:
     return synth.build_project(TP1_TEMPLATE, random.Random(seed))
 
 
+def degree(net, student_id) -> float:
+    """Fraction of the project's subtasks the student is connected to."""
+    return len({j for i, j in net.edges if i == student_id}) / len(net.subtask_nodes)
+
+
+def roster(dataset, project_id, team_id) -> TeamRoster:
+    """The dataset's roster of one team."""
+    return next(r for r in dataset.rosters
+                if r.project_id == project_id and r.team_id == team_id)
+
+
 @pytest.fixture(scope="session")
 def study_dataset():
     from collabnet.model import load_dataset
@@ -122,7 +133,7 @@ def student_measures(spec, roster, events):
     net = measures.build_network(roster, spec, events)
     out = {}
     for s in net.student_nodes:
-        d = measures.degree_centrality(net, s)
+        d = degree(net, s)
         dw = measures.weighted_degree(net, spec, s)
         h = measures.heterogeneity(
             measures.type_histogram(net, spec, s), spec.type_capacities)

@@ -149,6 +149,14 @@ class TestTransitions:
         assert "[  0  21]" in stdout
         assert "skipped" in stdout  # zero leadership-change margin
 
+    def test_too_fine_barnard_grid_exits_1(self, tmp_path, capsys):
+        code, stdout, stderr = run(capsys, "transitions", "--data", STUDY, "TP1", "TP2",
+                                   "--barnard-grid", "1e-12", "--out", tmp_path / "o")
+        assert code == 1
+        assert stdout == ""
+        assert stderr.splitlines() == [
+            "error: grid_resolution must be in [1e-06, 0.1], got 1e-12"]
+
 
 COHORT_SPEC = {
     "seed": 5,
@@ -232,6 +240,19 @@ class TestSynth:
 
 
 class TestMisc:
+    @pytest.mark.parametrize("argv", [
+        ("analyze",),
+        ("stats", "--project", "TP1", "--measure", "quantity"),
+        ("transitions", "TP1", "TP2"),
+    ])
+    def test_input_format_follows_data(self, tmp_path, capsys, argv):
+        # a directory is read as CSVs and a file as a JSON bundle; there is no flag
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--data", str(STUDY), "--format", "csv",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

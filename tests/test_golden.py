@@ -10,6 +10,7 @@ and are compared within 1e-12 rather than bit for bit.
 """
 
 import hashlib
+import importlib.util
 import json
 
 import pytest
@@ -99,6 +100,17 @@ def _assert_pinned_barnard(barnard: dict):
         assert barnard[key] == value, key
     for key, value in BARNARD_CLOSE.items():
         assert barnard[key] == pytest.approx(value, rel=0, abs=1e-12), key
+
+
+def test_study_fixture_is_what_its_script_builds(tmp_path):
+    script = FIXTURES.parent / "scripts" / "build_study_fixture.py"
+    spec = importlib.util.spec_from_file_location("build_study_fixture", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    written = write_dataset(module.build_dataset(), tmp_path, fmt="csv")
+    for path in written:
+        assert path.read_bytes() == (FIXTURES / "study" / path.name).read_bytes(), path.name
+    assert len(written) == 3
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 """The lookup indexes built at construction agree with brute-force scans.
 
-Dataset groups its interactions and rosters by (project, team), ProjectSpec
+Dataset groups its interactions by (project, team), ProjectSpec
 maps subtask ids to subtasks, and BipartiteNetwork keeps a per-student
 adjacency. Each index is checked here against the scan it replaced, and
 each private field is checked to stay out of equality and repr.
@@ -53,14 +53,6 @@ class TestDatasetIndex:
             assert len(got) == len(expected)
             assert all(a is b for a, b in zip(got, expected))
 
-    @given(datasets())
-    @settings(max_examples=100, deadline=None)
-    def test_roster_matches_scan(self, ds):
-        for p, t in itertools.product(PROJECTS, TEAMS):
-            expected = next((r for r in ds.rosters
-                             if r.project_id == p and r.team_id == t), None)
-            assert ds.roster(p, t) is expected
-
     @pytest.mark.parametrize("source", ["study", "synth"])
     def test_network_from_index_matches_full_event_list(self, source, study_dataset):
         ds = study_dataset if source == "study" else synth.generate_cohort(study_like_cohort())
@@ -89,8 +81,6 @@ class TestMeasuresMatchScans:
             hist = measures.type_histogram(net, spec, s)
             assert list(hist.counts.items()) == list(counts.items())
             assert hist.total == len(touched)
-            assert measures.degree_centrality(net, s) == len(touched) / len(net.subtask_nodes)
-            assert net.subtasks_of(s) == tuple(sorted(touched))
 
 
 class TestPrivateFields:
@@ -98,15 +88,12 @@ class TestPrivateFields:
         ds = make_dataset(interactions=make_interactions([("S1", "A1"), ("S2", "A3")]))
         twin = dataclasses.replace(ds)
         object.__setattr__(twin, "_interaction_index", {})
-        object.__setattr__(twin, "_roster_index", {})
         assert twin == ds
         assert "_index" not in repr(ds)
         extra = make_interactions([("S3", "A6")])
         grown = dataclasses.replace(ds, interactions=ds.interactions + extra)
         assert grown.interactions_for("P1", "T1") == ds.interactions + extra
         moved = dataclasses.replace(ds, rosters=(make_roster(team_id="T9"),))
-        assert moved.roster("P1", "T1") is None
-        assert moved.roster("P1", "T9").team_id == "T9"
         assert moved.interactions_for("P1", "T9") == ()
 
     def test_project_spec(self):
@@ -130,7 +117,6 @@ class TestPrivateFields:
         assert twin == net and hash(twin) == hash(net)
         assert "_adjacency" not in repr(net)
         grown = dataclasses.replace(net, edges=net.edges | {("S2", "A3")})
-        assert grown.subtasks_of("S2") == ("A3",)
         assert measures.weighted_degree(grown, spec, "S2") == 5 / 25
         for fn in (measures.weighted_degree, measures.type_histogram):
             with pytest.raises(ValueError, match="unknown student"):

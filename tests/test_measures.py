@@ -7,7 +7,6 @@ import pytest
 from collabnet import measures, synth
 from collabnet.measures import (
     build_network,
-    degree_centrality,
     heterogeneity,
     max_entropy_composition,
     max_entropy_constant,
@@ -19,11 +18,14 @@ from collabnet.measures import (
 from conftest import (
     TP1_CAPACITIES,
     TP1_POINTS_TEMPLATE,
+    degree,
     make_interactions,
     make_roster,
     make_spec,
+    roster,
     tp1_spec,
 )
+from oracles import oracle_max_entropy
 
 
 class TestBuildNetwork:
@@ -32,7 +34,7 @@ class TestBuildNetwork:
         roster = make_roster()
         net = build_network(roster, spec, make_interactions([("S1", "A1")] * 5))
         assert net.edges == frozenset({("S1", "A1")})
-        assert degree_centrality(net, "S1") == pytest.approx(1 / 6)
+        assert degree(net, "S1") == pytest.approx(1 / 6)
 
     def test_all_subtasks_present_even_untouched(self):
         spec = make_spec()
@@ -72,11 +74,11 @@ class TestBuildNetwork:
         # Team_3 after the leadership handover: S20 leads and touches the
         # most subtasks, the former leader S16 the fewest
         spec = study_dataset.projects["TP2"]
-        roster = study_dataset.roster("TP2", "Team_3")
-        net = build_network(roster, spec,
+        team = roster(study_dataset, "TP2", "Team_3")
+        net = build_network(team, spec,
                             study_dataset.interactions_for("TP2", "Team_3"))
-        degrees = {s: degree_centrality(net, s) for s in net.student_nodes}
-        assert roster.leader == "S20"
+        degrees = {s: degree(net, s) for s in net.student_nodes}
+        assert team.leader == "S20"
         assert degrees["S20"] == max(degrees.values())
         assert degrees["S16"] == min(degrees.values())
 
@@ -86,13 +88,13 @@ class TestDegree:
         spec = make_spec()
         net = build_network(make_roster(), spec,
                             make_interactions([("S1", j) for j in spec.subtask_ids]))
-        assert degree_centrality(net, "S1") == 1.0
+        assert degree(net, "S1") == 1.0
         assert weighted_degree(net, spec, "S1") == 1.0
 
     def test_isolated_student(self):
         spec = make_spec()
         net = build_network(make_roster(), spec, ())
-        assert degree_centrality(net, "S2") == 0.0
+        assert degree(net, "S2") == 0.0
         assert weighted_degree(net, spec, "S2") == 0.0
 
     def test_21_of_78_subtasks(self):
@@ -101,13 +103,11 @@ class TestDegree:
         roster = make_roster(project_id="TP1")
         net = build_network(roster, spec, make_interactions(
             [("S1", j) for j in chosen], project_id="TP1"))
-        assert degree_centrality(net, "S1") == pytest.approx(21 / 78, abs=1e-12)
+        assert degree(net, "S1") == pytest.approx(21 / 78, abs=1e-12)
 
     def test_unknown_student_raises(self):
         spec = make_spec()
         net = build_network(make_roster(), spec, ())
-        with pytest.raises(ValueError, match="unknown student"):
-            degree_centrality(net, "S99")
         with pytest.raises(ValueError, match="unknown student"):
             weighted_degree(net, spec, "S99")
 
@@ -203,7 +203,7 @@ class TestMaxEntropy:
     def test_matches_oracle_across_range(self):
         for n in range(0, 61):
             assert max_entropy_constant(n, TP1_CAPACITIES) == pytest.approx(
-                synth.oracle_max_entropy(n, TP1_CAPACITIES), abs=1e-12), n
+                oracle_max_entropy(n, TP1_CAPACITIES), abs=1e-12), n
 
 
 class TestHeterogeneity:
@@ -266,7 +266,7 @@ class TestMeasureRelations:
         net = build_network(make_roster(), spec,
                             make_interactions([("S1", "A0"), ("S1", "A3"), ("S1", "A4")]))
         assert weighted_degree(net, spec, "S1") == pytest.approx(
-            degree_centrality(net, "S1"), abs=1e-15)
+            degree(net, "S1"), abs=1e-15)
 
     def test_duplicating_events_changes_nothing(self):
         spec = make_spec()

@@ -13,7 +13,6 @@ from collabnet.model import (
     dataset_to_json,
     load_dataset,
     parse_interactions,
-    parse_project_spec,
     parse_project_specs,
     parse_team_rosters,
     validate_dataset,
@@ -71,7 +70,7 @@ class TestParsing:
     def test_single_subtask_file(self, tmp_path):
         f = tmp_path / "subtasks.csv"
         f.write_text("project_id,subtask_id,task_type,points\nP1,A1,Solo,4\n")
-        spec = parse_project_spec(f)
+        (spec,) = parse_project_specs(f).values()
         assert spec.type_capacities == {"Solo": 1}
         assert len(spec.type_capacities) == 1
 
@@ -80,21 +79,14 @@ class TestParsing:
         f.write_text("project_id,subtask_id,task_type,points\n"
                      "P1,A1,Written,2\nP1,A2,Written,0\n")
         with pytest.raises(DataFormatError, match="line\\[3\\]"):
-            parse_project_spec(f)
+            parse_project_specs(f)
 
     def test_duplicate_subtask_id_rejected(self, tmp_path):
         f = tmp_path / "subtasks.csv"
         f.write_text("project_id,subtask_id,task_type,points\n"
                      "P1,A1,Written,2\nP1,A1,Design,3\n")
         with pytest.raises(DataFormatError, match="duplicate"):
-            parse_project_spec(f)
-
-    def test_multi_project_file_rejected_by_single_parser(self, tmp_path):
-        f = tmp_path / "subtasks.csv"
-        f.write_text("project_id,subtask_id,task_type,points\n"
-                     "P1,A1,Written,2\nP2,B1,Written,2\n")
-        with pytest.raises(DataFormatError, match="exactly one project"):
-            parse_project_spec(f)
+            parse_project_specs(f)
 
     def test_interactions_in_file_order_with_duplicates(self, tmp_path):
         f = tmp_path / "interactions.csv"
@@ -126,16 +118,16 @@ class TestParsing:
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="format"):
-            parse_interactions(tmp_path / "x.csv", fmt="xml")
+            write_dataset(make_dataset(), tmp_path, fmt="xml")
 
     def test_invalid_json_bundle_reported(self, tmp_path):
         f = tmp_path / "dataset.json"
         f.write_text("{not json")
         with pytest.raises(DataFormatError, match="invalid JSON"):
-            parse_interactions(f, fmt="json")
-        f.write_text('{"projects": []}')
+            load_dataset(f)
+        f.write_text('{"projects": [], "teams": []}')
         with pytest.raises(DataFormatError, match="interactions"):
-            parse_interactions(f, fmt="json")
+            load_dataset(f)
 
     def test_team_rosters_leader_flag(self, tmp_path):
         f = tmp_path / "teams.csv"
@@ -172,7 +164,7 @@ class TestDatasetIO:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope")
         with pytest.raises(FileNotFoundError):
-            load_dataset(tmp_path / "nope.json", fmt="json")
+            load_dataset(tmp_path / "nope.json")
 
     def test_json_round_trip(self, study_dataset, tmp_path):
         write_dataset(study_dataset, tmp_path, fmt="json")

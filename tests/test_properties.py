@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from collabnet import measures, synth
 from collabnet.measures import (
     build_network,
-    degree_centrality,
     heterogeneity,
     max_entropy_constant,
     type_histogram,
@@ -17,14 +16,14 @@ from collabnet.measures import (
 )
 from collabnet.model import InteractionRecord, ProjectSpec, Subtask
 
-from conftest import random_case, student_measures
+from conftest import degree, random_case, student_measures
 from collabnet.roles import ContingencyTable2x2, Role, Thresholds, classify
 from collabnet.stats import (
     barnard_test,
     exact_u_distribution,
     mann_whitney_u,
-    u_from_samples,
 )
+from oracles import oracle_max_entropy
 
 
 class TestNetworkInvariants:
@@ -59,7 +58,7 @@ class TestNetworkInvariants:
         net = build_network(roster, flat, events)
         for s in net.student_nodes:
             assert weighted_degree(net, flat, s) == pytest.approx(
-                degree_centrality(net, s), abs=1e-12)
+                degree(net, s), abs=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
@@ -115,7 +114,7 @@ class TestEntropyNormalizer:
         capacities = {f"T{i}": c for i, c in enumerate(caps)}
         assume(n <= sum(caps))
         assert max_entropy_constant(n, capacities) == pytest.approx(
-            synth.oracle_max_entropy(n, capacities), abs=1e-12)
+            oracle_max_entropy(n, capacities), abs=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
@@ -188,9 +187,9 @@ class TestMannWhitney:
     @given(int_samples, int_samples)
     @settings(max_examples=200, deadline=None)
     def test_scale_invariance_under_monotone_transforms(self, a, b):
-        u_raw = u_from_samples(a, b)
+        u_raw = mann_whitney_u(a, b).u
         for f in (lambda x: 3.0 * x + 11.0, math.atan, lambda x: x**3):
-            assert u_from_samples([f(x) for x in a], [f(x) for x in b]) == u_raw
+            assert mann_whitney_u([f(x) for x in a], [f(x) for x in b]).u == u_raw
 
     @given(st.integers(1, 8), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)

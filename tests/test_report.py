@@ -15,7 +15,7 @@ from collabnet.report import (
 )
 from collabnet.roles import ContributionProfile, Role
 
-from conftest import make_roster, make_spec, parse_dot
+from conftest import make_roster, make_spec, parse_dot, roster
 
 
 def reference_dot(net, profiles, spec):
@@ -43,9 +43,8 @@ def reference_dot(net, profiles, spec):
 
 def team3_inputs(study_dataset, study_profiles, project="TP1"):
     spec = study_dataset.projects[project]
-    roster = study_dataset.roster(project, "Team_3")
-    net = measures.build_network(
-        roster, spec, study_dataset.interactions_for(project, "Team_3"))
+    net = measures.build_network(roster(study_dataset, project, "Team_3"), spec,
+                                 study_dataset.interactions_for(project, "Team_3"))
     profiles = [p for p in study_profiles[project] if p.team_id == "Team_3"]
     return net, profiles, spec
 

@@ -5,16 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collabnet import synth
 from collabnet.roles import ContingencyTable2x2
 from collabnet.stats import (
     barnard_test,
     exact_u_distribution,
     mann_whitney_from_u,
     mann_whitney_u,
-    u_from_samples,
     wald_pooled_statistic,
 )
+
+from oracles import oracle_exact_u_distribution
 
 STUDY_TABLE = ContingencyTable2x2(8, 1, 5, 6)
 # regression pin: this implementation's enumeration value for the study table
@@ -57,18 +57,20 @@ def assert_exact_matches_pairwise_oracle(a, b):
 
 
 class TestUFromSamples:
+    """U as mann_whitney_u reports it, with the min(U_a, U_b) convention."""
+
     def test_complete_separation(self):
-        assert u_from_samples([1, 2, 3], [4, 5, 6]) == 0.0
+        assert mann_whitney_u([1, 2, 3], [4, 5, 6]).u == 0.0
 
     def test_min_convention_symmetric(self):
-        assert u_from_samples([4, 5, 6], [1, 2, 3]) == 0.0
+        assert mann_whitney_u([4, 5, 6], [1, 2, 3]).u == 0.0
 
     def test_interleaved(self):
-        assert u_from_samples([1, 3], [2, 4]) == 1.0
+        assert mann_whitney_u([1, 3], [2, 4]).u == 1.0
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            u_from_samples([], [1.0])
+            mann_whitney_u([], [1.0])
 
 
 class TestNormalApproximation:
@@ -149,7 +151,7 @@ class TestExactMethod:
     def test_matches_enumeration_oracle(self):
         for n1, n2 in [(1, 1), (2, 2), (3, 4), (5, 3)]:
             assert exact_u_distribution(n1, n2) == \
-                synth.oracle_exact_u_distribution(n1, n2)
+                oracle_exact_u_distribution(n1, n2)
 
     def test_small_distributions(self):
         assert exact_u_distribution(1, 1) == {0: 1, 1: 1}
@@ -261,8 +263,10 @@ class TestBarnard:
             barnard_test(ContingencyTable2x2(0, 0, 5, 5))
 
     def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError, match="grid_resolution"):
-            barnard_test(STUDY_TABLE, grid_resolution=0.5)
+        # steps below 1e-6 are refused before the grid is allocated
+        for step in (0.5, 0.0, 9.9e-7, 1e-12):
+            with pytest.raises(ValueError, match=r"grid_resolution must be in \[1e-06, 0.1\]"):
+                barnard_test(STUDY_TABLE, grid_resolution=step)
 
     def test_large_table_stays_finite(self):
         # binomial weights of a 1,200 total overflow float64 unless kept as logs
@@ -271,8 +275,26 @@ class TestBarnard:
             assert math.isfinite(p) and 0.0 <= p <= 1.0
         assert res.p_one_sided <= res.p_two_sided + 1e-12
 
-    # (3, 4, 5, 1) is left out: its mirror table scores one ulp below |t_obs|,
-    # which the region tolerance keeps and scipy's strict comparison drops
+    def test_tied_mirror_table_in_two_sided_region(self):
+        # For (3, 4, 5, 1) the mirror table (x1, x2) = (4, 1) scores exactly
+        # |t_obs|. With D = x1*m2 - x2*m1 and s = x1 + x2, |T| >= |t_obs| is
+        # D**2 * s_o * (N - s_o) >= D_o**2 * s * (N - s) in integers; s in
+        # {0, N} scores 0 and stays out.
+        a, b, c, d = 3, 4, 5, 1
+        m1, m2 = a + b, c + d
+        n, s_o, d_o = m1 + m2, a + c, a * m2 - c * m1
+        region = [(x1, x2) for x1 in range(m1 + 1) for x2 in range(m2 + 1)
+                  if 0 < x1 + x2 < n and (x1 * m2 - x2 * m1) ** 2 * s_o * (n - s_o)
+                  >= d_o ** 2 * (x1 + x2) * (n - x1 - x2)]
+        assert (4, 1) in region
+        res = barnard_test(ContingencyTable2x2(a, b, c, d))
+        pi = res.nuisance_argmax
+        p = sum(math.comb(m1, x1) * math.comb(m2, x2) * pi ** (x1 + x2)
+                * (1 - pi) ** (n - x1 - x2) for x1, x2 in region)
+        assert res.p_two_sided == pytest.approx(p, abs=1e-12)
+
+    # (3, 4, 5, 1) is left out: its mirror table ties |t_obs| exactly (see
+    # the test above), and scipy's float scores drop it from the region
     @pytest.mark.parametrize("cells", [(8, 1, 5, 6), (10, 0, 0, 10), (60, 40, 20, 30)])
     def test_matches_scipy_pooled_barnard(self, cells):
         scipy_stats = pytest.importorskip("scipy.stats")

@@ -12,12 +12,11 @@ from collabnet.synth import (
     RoleTarget,
     generate_cohort,
     load_cohort_spec,
-    oracle_exact_u_distribution,
-    oracle_max_entropy,
     plant_contribution,
 )
 
 from conftest import TP1_CAPACITIES, TP1_TEMPLATE, tp1_spec
+from oracles import oracle_exact_u_distribution, oracle_max_entropy
 
 
 class TestOracles:
