@@ -27,8 +27,7 @@ from pathlib import Path
 
 from collabnet import pipeline, synth
 from collabnet.model import Dataset, InteractionRecord, TeamRoster, write_dataset
-from collabnet.roles import Role, build_contingency, role_transitions
-from collabnet.stats import mann_whitney_u, wald_pooled_statistic
+from collabnet.roles import Role
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "study"
 
@@ -160,7 +159,8 @@ def build_dataset() -> Dataset:
 
 
 def verify(dataset: Dataset) -> int:
-    profiles = pipeline.project_profiles(dataset)
+    bundle = pipeline.run_analysis(dataset)
+    profiles = bundle.profiles
     tp1 = {p.student_id: p for p in profiles["TP1"]}
     failures = []
 
@@ -177,24 +177,23 @@ def verify(dataset: Dataset) -> int:
         if len(set(values)) != len(values):
             failures.append(f"{pid} has tied quantity values")
 
-    lead_q = [p.quantity for p in profiles["TP1"] if p.is_assigned_leader]
-    other_q = [p.quantity for p in profiles["TP1"] if not p.is_assigned_leader]
-    mwu = mann_whitney_u(lead_q, other_q)
+    mwu = bundle.mwu["TP1/quantity"]
     if mwu.u != 1:
         failures.append(f"TP1 quantity split has U={mwu.u}, expected 1")
 
-    transitions = role_transitions(profiles["TP1"], profiles["TP2"])
-    table = build_contingency(transitions)
+    comparison = bundle.transitions["TP1->TP2"]
+    table = comparison.contingency
     if table.cells() != (8, 1, 5, 6):
         failures.append(f"contingency {table.cells()}, expected (8, 1, 5, 6)")
 
     print(f"TP1 roles: {[ (p.student_id, p.role.value) for p in profiles['TP1'] ]}")
     print(f"TP1 leader-vs-member quantity: U={mwu.u:g}, r={mwu.r:.3f}")
-    print(f"transitions: {len(transitions)} students,"
+    print(f"transitions: {len(comparison.pairs)} students,"
           f" contingency {table.cells()},"
           f" leadership changes {table.leadership_changes},"
           f" role changes {table.role_changes}")
-    print(f"pooled score statistic T = {wald_pooled_statistic(table):.3f}")
+    if comparison.barnard is not None:
+        print(f"pooled score statistic T = {comparison.barnard.t:.3f}")
     for msg in failures:
         print(f"FIXTURE ERROR: {msg}", file=sys.stderr)
     return 1 if failures else 0

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from . import __version__, measures, roles, stats
-from .model import Dataset, dataset_to_json
+from .model import Dataset
 from .report import ProjectComparison, ReportBundle
 from .roles import ContributionProfile, Thresholds
 
@@ -61,10 +60,6 @@ def leader_split(profiles, measure: str) -> tuple[list[float], list[float]]:
     return leaders, others
 
 
-def dataset_digest(dataset: Dataset) -> str:
-    return hashlib.sha256(dataset_to_json(dataset).encode("utf-8")).hexdigest()
-
-
 def _metadata(thresholds: Thresholds, options: StatsOptions,
               input_digests: dict[str, str]) -> dict:
     return {
@@ -112,14 +107,13 @@ def run_analysis(dataset: Dataset, thresholds: Thresholds = Thresholds(),
     Transitions are computed between consecutive projects in sorted id
     order. The Mann-Whitney leader comparison is skipped for a project
     whose leader or non-leader group is empty; Barnard is skipped when a
-    contingency margin is zero.
+    contingency margin is zero. `metadata["inputs"]` holds exactly the
+    given `input_digests`, key-sorted, or `{}` when none are given.
     """
-    if input_digests is None:
-        input_digests = {"dataset": dataset_digest(dataset)}
     profiles = project_profiles(dataset, thresholds)
 
     bundle = ReportBundle(
-        metadata=_metadata(thresholds, options, input_digests),
+        metadata=_metadata(thresholds, options, input_digests or {}),
         profiles=profiles,
     )
     for pid in sorted(profiles):

@@ -124,6 +124,11 @@ def _star_points(q: float, h: float, radius: float = 8.0) -> str:
     return " ".join(pts)
 
 
+def _svg_text(s: str) -> str:
+    """Escape an id for SVG text content."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def export_quadrant_svg(profiles: Sequence[ContributionProfile],
                         thresholds: Thresholds = Thresholds()) -> str:
     """Render profiles as a quantity-heterogeneity scatter on the unit square.
@@ -178,7 +183,8 @@ def export_quadrant_svg(profiles: Sequence[ContributionProfile],
     for i, pid in enumerate(project_ids):
         ly = _MARGIN + 16 + 18 * i
         out.append(f'  <circle cx="{_MARGIN + 14}" cy="{ly}" r="5" fill="{color[pid]}"/>')
-        out.append(f'  <text x="{_MARGIN + 26}" y="{ly + 4}" font-size="12">{pid}</text>')
+        out.append(f'  <text x="{_MARGIN + 26}" y="{ly + 4}" font-size="12">'
+                   f'{_svg_text(pid)}</text>')
     out.append(f'  <text x="{_MARGIN + 26}" y="{_MARGIN + 16 + 18 * len(project_ids) + 4}"'
                ' font-size="12">star = assigned leader</text>')
 
@@ -210,7 +216,7 @@ def export_quadrant_svg(profiles: Sequence[ContributionProfile],
                        f' fill="{fill}" stroke="black" stroke-width="0.5"/>')
         out.append(f'  <text x="{float(_x(p.quantity)) + 8:.2f}"'
                    f' y="{float(_y(p.heterogeneity)) + 4:.2f}"'
-                   f' font-size="10">{p.student_id}</text>')
+                   f' font-size="10">{_svg_text(p.student_id)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

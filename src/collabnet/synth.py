@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import measures
+from . import measures, pipeline
 from .model import Dataset, InteractionRecord, ProjectSpec, Subtask, TeamRoster
 from .roles import Role
 
@@ -181,25 +181,20 @@ def load_cohort_spec(path) -> PlantedCohortSpec:
 @lru_cache(maxsize=64)
 def _histogram_entropies(caps: tuple[tuple[str, int], ...]) -> tuple[tuple[tuple[int, ...], int, float], ...]:
     """All feasible per-type count vectors with their normalized entropy."""
-    names = [t for t, _ in caps]
     limits = [c for _, c in caps]
     combos = 1
     for c in limits:
         combos *= c + 1
     if combos > _MAX_HISTOGRAM_CANDIDATES:
         raise ValueError(f"type capacities {dict(caps)} too large to enumerate")
-    capacities = dict(caps)
-    q_by_n = {}
     out = []
     for counts in itertools.product(*(range(c + 1) for c in limits)):
         n = sum(counts)
         if n <= 1:
             h = 0.0
         else:
-            raw = measures._entropy(counts)
-            if n not in q_by_n:
-                q_by_n[n] = measures.max_entropy_constant(n, capacities)
-            h = raw / q_by_n[n] if q_by_n[n] > 0 else 0.0
+            q = measures._max_entropy(n, caps)
+            h = measures._entropy(counts) / q if q > 0 else 0.0
         out.append((counts, n, h))
     return tuple(out)
 
@@ -315,9 +310,12 @@ def generate_cohort(cohort: PlantedCohortSpec) -> Dataset:
     spec = build_project(cohort.project, rng)
     pid = spec.project_id
 
+    # plant each distinct band pair once, in first-appearance order
+    contribution = {bands: plant_contribution(spec, *bands) for bands in dict.fromkeys(
+        (t.quantity_band, t.heterogeneity_band) for t in cohort.targets)}
     rosters = []
     interactions = []
-    planted: list[tuple[str, str, RoleTarget]] = []  # (team, student, target)
+    planted: list[tuple[str, RoleTarget]] = []  # (student, target)
     for g in range(cohort.groups):
         team_id = f"Team_{g + 1}"
         members = []
@@ -327,12 +325,11 @@ def generate_cohort(cohort: PlantedCohortSpec) -> Dataset:
             members.append(student)
             if target.is_leader:
                 leader = student
-            for sid in plant_contribution(spec, target.quantity_band,
-                                          target.heterogeneity_band):
+            for sid in contribution[(target.quantity_band, target.heterogeneity_band)]:
                 interactions.append(InteractionRecord(
                     project_id=pid, team_id=team_id,
                     student_id=student, subtask_id=sid))
-            planted.append((team_id, student, target))
+            planted.append((student, target))
         rosters.append(TeamRoster(team_id=team_id, project_id=pid,
                                   members=frozenset(members), leader=leader))
 
@@ -343,14 +340,10 @@ def generate_cohort(cohort: PlantedCohortSpec) -> Dataset:
         metadata={"generator": GENERATOR_ID, "seed": str(cohort.seed)},
     )
 
-    # construction guarantee: re-measure every student through the real pipeline
-    nets = {r.team_id: measures.build_network(r, spec, dataset.interactions_for(pid, r.team_id))
-            for r in dataset.rosters}
-    for team_id, student, target in planted:
-        net = nets[team_id]
-        dw = measures.weighted_degree(net, spec, student)
-        hist = measures.type_histogram(net, spec, student)
-        h = measures.heterogeneity(hist, spec.type_capacities)
+    # construction guarantee: re-measure every student through the pipeline
+    measured = {p.student_id: p for p in pipeline.project_profiles(dataset)[pid]}
+    for student, target in planted:
+        dw, h = measured[student].quantity, measured[student].heterogeneity
         q_lo, q_hi = target.quantity_band
         h_lo, h_hi = target.heterogeneity_band
         if not (q_lo - 1e-9 <= dw <= q_hi + 1e-9

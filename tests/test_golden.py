@@ -102,15 +102,28 @@ def _assert_pinned_barnard(barnard: dict):
         assert barnard[key] == pytest.approx(value, rel=0, abs=1e-12), key
 
 
-def test_study_fixture_is_what_its_script_builds(tmp_path):
+@pytest.fixture(scope="module")
+def fixture_script():
     script = FIXTURES.parent / "scripts" / "build_study_fixture.py"
     spec = importlib.util.spec_from_file_location("build_study_fixture", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    written = write_dataset(module.build_dataset(), tmp_path, fmt="csv")
+    return module
+
+
+def test_study_fixture_is_what_its_script_builds(fixture_script, tmp_path):
+    written = write_dataset(fixture_script.build_dataset(), tmp_path, fmt="csv")
     for path in written:
         assert path.read_bytes() == (FIXTURES / "study" / path.name).read_bytes(), path.name
     assert len(written) == 3
+
+
+def test_study_fixture_script_verifies_what_it_builds(fixture_script, capsys):
+    assert fixture_script.verify(fixture_script.build_dataset()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "contingency (8, 1, 5, 6)" in out
+    assert "T = 2.026" in out
 
 
 @pytest.fixture(scope="module")

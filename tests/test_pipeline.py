@@ -52,6 +52,12 @@ class TestCompareProjects:
         assert list(doc["transitions"]["TP1->TP2"]) == [
             "pairs", "dropouts", "joiners", "contingency", "barnard"]
 
+    def test_run_analysis_records_only_the_given_digests(self, study_dataset):
+        assert pipeline.run_analysis(study_dataset).metadata["inputs"] == {}
+        given = {"teams.csv": "b" * 64, "interactions.csv": "a" * 64}
+        inputs = pipeline.run_analysis(study_dataset, input_digests=given).metadata["inputs"]
+        assert list(inputs.items()) == sorted(given.items())
+
     def test_comparison_is_frozen(self, study_profiles):
         comparison = pipeline.compare_projects(study_profiles["TP1"], study_profiles["TP1"])
         with pytest.raises(dataclasses.FrozenInstanceError):

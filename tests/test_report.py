@@ -175,6 +175,14 @@ class TestQuadrantSvg:
         with pytest.raises(ValueError, match="nonempty"):
             export_quadrant_svg([])
 
+    def test_markup_in_ids_is_escaped(self):
+        prof = ContributionProfile("S<1>&co", "P&Q", "T1", 0.3, 0.7, False,
+                                   Role.VERSATILE_PARTICIPANT)
+        root = ET.fromstring(export_quadrant_svg([prof]))
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "S<1>&co" in texts
+        assert "P&Q" in texts
+
 
 class TestReportJson:
     def test_study_bundle_contents(self, study_dataset):

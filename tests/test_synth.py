@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -183,6 +184,41 @@ class TestGenerateCohort:
         again = load_dataset(tmp_path)
         assert validate_dataset(again) == []
         assert again.interactions == ds.interactions
+
+    def test_plants_each_band_pair_once(self, monkeypatch):
+        calls = []
+
+        def counting(spec, quantity_band, heterogeneity_band):
+            calls.append((quantity_band, heterogeneity_band))
+            return plant_contribution(spec, quantity_band, heterogeneity_band)
+
+        monkeypatch.setattr(synth, "plant_contribution", counting)
+        cohort = study_like_cohort()
+        generate_cohort(cohort)
+        assert calls == [(t.quantity_band, t.heterogeneity_band) for t in cohort.targets]
+        calls.clear()
+        per_student = dataclasses.replace(cohort, targets=cohort.targets * 7)
+        assert generate_cohort(per_student) == generate_cohort(cohort)
+        assert len(calls) == 3 + 3
+
+    def test_first_infeasible_target_raises_first(self):
+        cohort = PlantedCohortSpec(
+            seed=3, groups=1, group_size=3, project=TP1_TEMPLATE,
+            targets=(
+                RoleTarget(Role.FREE_RIDER, (0.0, 0.25), (0.0, 0.35)),
+                RoleTarget(Role.SPECIALIZED_CONTRIBUTOR, (0.97, 0.99), (0.0, 0.1)),
+                RoleTarget(Role.SPECIALIZED_CONTRIBUTOR, (0.95, 0.99), (0.0, 0.1)),
+            ),
+        )
+        with pytest.raises(InfeasibleTargetError, match=r"quantity band \[0\.97, 0\.99\]"):
+            generate_cohort(cohort)
+
+    def test_construction_check_fires(self, monkeypatch):
+        monkeypatch.setattr(synth, "plant_contribution", lambda spec, q, h: ())
+        with pytest.raises(InfeasibleTargetError,
+                           match=r"planted student 'S1' measured \(0\.0000, 0\.0000\),"
+                                 r" outside bands \(0\.65, 0\.9\) x \(0\.7, 0\.95\)"):
+            generate_cohort(study_like_cohort())
 
     def test_per_student_targets(self):
         spec = PlantedCohortSpec(
