@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -124,8 +125,14 @@ def _star_points(q: float, h: float, radius: float = 8.0) -> str:
     return " ".join(pts)
 
 
+# what the XML 1.0 Char production leaves out of str; a negated class of the
+# allowed ranges means the same but takes ~4 ms to compile at import
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _svg_text(s: str) -> str:
-    """Escape an id for SVG text content."""
+    """Escape an id for SVG text content; characters XML forbids become U+FFFD."""
+    s = _XML_FORBIDDEN.sub("\ufffd", s)
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

@@ -22,6 +22,7 @@ from .roles import ContingencyTable2x2
 DEFAULT_EXACT_CAP = 25
 DEFAULT_GRID_RESOLUTION = 1e-4
 _REGION_EPS = 1e-12
+_GRID_BLOCK = 1 << 17  # grid points x table totals held at once by the nuisance grid
 
 
 def _norm_sf(x: float) -> float:
@@ -290,6 +291,11 @@ class BarnardResult:
         }
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n."""
+    return np.array([math.lgamma(x + 1) for x in range(n + 1)])
+
+
 def _region_log_weights(scores: np.ndarray, t_obs: float, tails: str) -> np.ndarray:
     """log sum of C(m1,x1)*C(m2,x2) over rejection cells of scores[x1, x2], by x1+x2."""
     if tails == "two":
@@ -300,7 +306,7 @@ def _region_log_weights(scores: np.ndarray, t_obs: float, tails: str) -> np.ndar
         hit = scores <= t_obs + _REGION_EPS
     m1, m2 = scores.shape[0] - 1, scores.shape[1] - 1
     x1, x2 = np.nonzero(hit)
-    lf = np.array([math.lgamma(x + 1) for x in range(m1 + m2 + 1)])
+    lf = _log_factorials(m1 + m2)
     log_terms = (lf[m1] - lf[x1] - lf[m1 - x1]) + (lf[m2] - lf[x2] - lf[m2 - x2])
     s = x1 + x2
     peak = np.full(m1 + m2 + 1, -np.inf)
@@ -318,6 +324,35 @@ def _region_probability(log_weights: np.ndarray, total: int, pis: np.ndarray) ->
     terms += log_weights[ss]
     terms += (total * log_q)[:, None]
     return np.exp(terms, out=terms).sum(axis=1)
+
+
+def _grid_probabilities(log_weights: np.ndarray, total: int, pis: np.ndarray) -> np.ndarray:
+    """Region probabilities over the grid pis for each row of log_weights, in one pass.
+
+    Each W_s / C(total, s) is a hypergeometric mass <= 1 (Vandermonde's
+    identity), so P(region | pi) is the binomial pmf at pi dotted with those
+    masses. The pmf is built in log space for a block of grid points at a
+    time and reduced against every region with one np.dot, so memory stays
+    at _GRID_BLOCK floats whatever the grid size and total.
+    """
+    ss = np.arange(total + 1)
+    lf = _log_factorials(total)
+    log_comb = lf[total] - lf - lf[::-1]
+    masses = np.exp(log_weights - log_comb)
+    out = np.empty((len(masses), pis.size))
+    rows = max(1, _GRID_BLOCK // (total + 1))
+    buf = np.empty((min(rows, pis.size), total + 1))
+    for lo in range(0, pis.size, rows):
+        block = pis[lo:lo + rows]
+        pmf = buf[:block.size]
+        log_q = np.log1p(-block)
+        np.multiply.outer(np.log(block) - log_q, ss, out=pmf)
+        pmf += log_comb
+        pmf += (total * log_q)[:, None]
+        np.exp(pmf, out=pmf)
+        for mass, row in zip(masses, out):
+            np.dot(pmf, mass, out=row[lo:lo + block.size])
+    return out
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
@@ -338,22 +373,22 @@ def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]
     return xm, f(xm)
 
 
-def _max_region_probability(log_weights: np.ndarray, total: int,
-                            step: float) -> tuple[float, float]:
-    """Maximize the region probability over the nuisance grid, then refine.
+def _max_region_probability(log_weights: np.ndarray, total: int, pis: np.ndarray,
+                            probs: np.ndarray, step: float) -> tuple[float, float]:
+    """Pick the grid maximum of probs, then refine it on the log-weight path.
 
     The grid argmax is the lowest point within a relative 1e-12 of the maximum,
     since a two-sided region's mirror peaks at pi and 1-pi tie up to rounding.
+    The grid only chooses the bracket: the reported probabilities all come
+    from _region_probability.
     """
-    k = int(round(1.0 / step))
-    pis = np.arange(1, k) * step
-    probs = _region_probability(log_weights, total, pis)
     best = int(np.argmax(probs >= probs.max() * (1.0 - 1e-12)))
-    best_pi, best_p = float(pis[best]), float(probs[best])
 
     def scalar(pi: float) -> float:
         return float(_region_probability(log_weights, total, np.array([pi]))[0])
 
+    best_pi = float(pis[best])
+    best_p = scalar(best_pi)
     lo = max(best_pi - step, step * 1e-6)
     hi = min(best_pi + step, 1.0 - step * 1e-6)
     refined_pi, refined_p = _golden_max(scalar, lo, hi)
@@ -375,8 +410,9 @@ def barnard_test(table: ContingencyTable2x2, *, tails: str = "two",
 
     grid_resolution is the grid step, in [1e-6, 0.1]; the default 1e-4 places
     9999 interior points, enough for two-digit reproducibility on desk-scale
-    tables. The lower bound caps the grid at a million points, since each
-    point holds one float per possible table total.
+    tables. The grid is evaluated for both tails in fixed-size blocks, so its
+    memory does not grow with grid x total; the lower bound caps the grid at a
+    million points to bound run time.
     """
     _check_tails(tails)
     if not (1e-6 <= grid_resolution <= 0.1):
@@ -388,11 +424,12 @@ def barnard_test(table: ContingencyTable2x2, *, tails: str = "two",
     scores = _pooled_scores(np.arange(m1 + 1)[:, None], np.arange(m2 + 1)[None, :], m1, m2)
     t_obs = float(scores[a, c])
 
-    results = {side: _max_region_probability(_region_log_weights(scores, t_obs, side),
-                                             m1 + m2, grid_resolution)
-               for side in ("one", "two")}
-    p_one, argmax_one = results["one"]
-    p_two, argmax_two = results["two"]
+    log_weights = np.array([_region_log_weights(scores, t_obs, side) for side in ("one", "two")])
+    pis = np.arange(1, int(round(1.0 / grid_resolution))) * grid_resolution
+    grid = _grid_probabilities(log_weights, m1 + m2, pis)
+    (p_one, argmax_one), (p_two, argmax_two) = (
+        _max_region_probability(lw, m1 + m2, pis, probs, grid_resolution)
+        for lw, probs in zip(log_weights, grid))
     p, argmax = (p_one, argmax_one) if tails == "one" else (p_two, argmax_two)
     return BarnardResult(
         t=t_obs,

@@ -61,3 +61,41 @@ def oracle_exact_u_distribution(n1: int, n2: int, cap: int = 21) -> dict[int, in
         u = sum(combo) - base
         counts[u] = counts.get(u, 0) + 1
     return counts
+
+
+def oracle_barnard_dense(cells: tuple[int, int, int, int],
+                         step: float) -> dict[str, tuple[float, float]]:
+    """Barnard's (p, nuisance argmax) for each tail by the dense per-tail search.
+
+    The search barnard_test ran before its nuisance grid was blocked: one
+    grid x (N+1) array per tail through _region_probability, the lowest grid
+    point within a relative 1e-12 of the maximum, then _golden_max around
+    it. Returns {"one": (p, argmax), "two": (p, argmax)}.
+    """
+    import numpy as np
+
+    from collabnet.stats import (_golden_max, _pooled_scores, _region_log_weights,
+                                 _region_probability)
+
+    a, b, c, d = cells
+    m1, m2 = a + b, c + d
+    total = m1 + m2
+    scores = _pooled_scores(np.arange(m1 + 1)[:, None], np.arange(m2 + 1)[None, :], m1, m2)
+    pis = np.arange(1, int(round(1.0 / step))) * step
+    out = {}
+    for side in ("one", "two"):
+        log_weights = _region_log_weights(scores, float(scores[a, c]), side)
+        probs = _region_probability(log_weights, total, pis)
+        best = int(np.argmax(probs >= probs.max() * (1.0 - 1e-12)))
+        best_pi, best_p = float(pis[best]), float(probs[best])
+
+        def scalar(pi: float) -> float:
+            return float(_region_probability(log_weights, total, np.array([pi]))[0])
+
+        lo = max(best_pi - step, step * 1e-6)
+        hi = min(best_pi + step, 1.0 - step * 1e-6)
+        refined_pi, refined_p = _golden_max(scalar, lo, hi)
+        if refined_p > best_p:
+            best_pi, best_p = refined_pi, refined_p
+        out[side] = (min(best_p, 1.0), best_pi)
+    return out

@@ -2,11 +2,13 @@
 
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from collabnet import measures, synth
+from collabnet import measures, stats, synth
 from collabnet.measures import (
     build_network,
     heterogeneity,
@@ -23,7 +25,7 @@ from collabnet.stats import (
     exact_u_distribution,
     mann_whitney_u,
 )
-from oracles import oracle_max_entropy
+from oracles import oracle_barnard_dense, oracle_max_entropy
 
 
 class TestNetworkInvariants:
@@ -241,7 +243,6 @@ class TestBarnard:
         res = barnard_test(ContingencyTable2x2(a, b, c, d), grid_resolution=1e-3)
         from collabnet.stats import (_pooled_scores, _region_log_weights,
                                      _region_probability)
-        import numpy as np
         m1, m2 = a + b, c + d
         scores = _pooled_scores(np.arange(m1 + 1)[:, None], np.arange(m2 + 1)[None, :], m1, m2)
         log_weights = _region_log_weights(scores, res.t, "two")
@@ -258,7 +259,6 @@ class TestBarnard:
         assume(a + b >= 1 and c + d >= 1)
         from collabnet.stats import (_REGION_EPS, _pooled_scores, _region_log_weights,
                                      _region_probability, wald_pooled_statistic)
-        import numpy as np
         m1, m2 = a + b, c + d
         t_obs = wald_pooled_statistic(ContingencyTable2x2(a, b, c, d))
         scores = _pooled_scores(np.arange(m1 + 1)[:, None], np.arange(m2 + 1)[None, :], m1, m2)
@@ -278,6 +278,52 @@ class TestBarnard:
                         expected += (math.comb(m1, x1) * math.comb(m2, x2)
                                      * pi ** (x1 + x2) * (1 - pi) ** (m1 + m2 - x1 - x2))
             assert p == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+class TestBarnardGrid:
+    """The blocked two-tail grid against the dense per-tail search it replaced."""
+
+    tables = st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
+        lambda m: st.tuples(st.integers(0, m[0]), st.just(m[0]),
+                            st.integers(0, m[1]), st.just(m[1])))
+
+    @staticmethod
+    def assert_matches_dense_search(cells, step):
+        expected = oracle_barnard_dense(cells, step)
+        for tails in ("one", "two"):
+            res = barnard_test(ContingencyTable2x2(*cells), tails=tails,
+                               grid_resolution=step)
+            assert res.p_one_sided == expected["one"][0]
+            assert res.p_two_sided == expected["two"][0]
+            assert res.nuisance_argmax == expected[tails][1]
+
+    @given(tables, st.sampled_from([1e-3, 1e-4]))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_dense_search(self, shape, step):
+        x1, m1, x2, m2 = shape
+        self.assert_matches_dense_search((x1, m1 - x1, x2, m2 - x2), step)
+
+    @pytest.mark.parametrize("cells", [(8, 1, 5, 6), (3, 4, 5, 1), (420, 180, 380, 220)])
+    def test_bit_identical_to_dense_search_fixed(self, cells):
+        self.assert_matches_dense_search(cells, 1e-4)
+
+    @given(tables, st.sampled_from(["one", "two"]))
+    @settings(max_examples=40, deadline=None)
+    def test_block_size_does_not_change_the_grid(self, shape, tails):
+        # 999 grid points: 7-row blocks leave a partial last block
+        x1, m1, x2, m2 = shape
+        total = m1 + m2
+        scores = stats._pooled_scores(np.arange(m1 + 1)[:, None],
+                                      np.arange(m2 + 1)[None, :], m1, m2)
+        log_weights = stats._region_log_weights(scores, float(scores[x1, x2]), tails)
+        pis = np.arange(1, 1000) * 1e-3
+        dense = stats._region_probability(log_weights, total, pis)
+        dense_best = int(np.argmax(dense >= dense.max() * (1.0 - 1e-12)))
+        for rows in (1, 7, pis.size):
+            with mock.patch.object(stats, "_GRID_BLOCK", rows * (total + 1)):
+                got = stats._grid_probabilities(log_weights[None, :], total, pis)[0]
+            assert int(np.argmax(got >= got.max() * (1.0 - 1e-12))) == dense_best
+            assert np.max(np.abs(got - dense)) <= 1e-13 * dense.max()
 
 
 class TestPlantedRecovery:

@@ -183,6 +183,23 @@ class TestQuadrantSvg:
         assert "S<1>&co" in texts
         assert "P&Q" in texts
 
+    def test_xml_forbidden_characters_become_replacement_char(self):
+        sid = "S18\x01\x00\x08\x0b\x0c\x0e\x1f\ud800\udfff\ufffe\uffff|\t\ufffd\U0001f600"
+        prof = ContributionProfile(sid, "P\x02", "T1", 0.3, 0.7, False,
+                                   Role.VERSATILE_PARTICIPANT)
+        root = ET.fromstring(export_quadrant_svg([prof]))
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "S18" + "\ufffd" * 11 + "|\t\ufffd\U0001f600" in texts
+        assert "P\ufffd" in texts
+
+    def test_replaces_exactly_what_xml_char_production_excludes(self):
+        for cp in [*range(0x10000), 0x10000, 0x1F600, 0x10FFFF]:
+            ch = chr(cp)
+            allowed = (ch in "\t\n\r" or 0x20 <= cp <= 0xD7FF or 0xE000 <= cp <= 0xFFFD
+                       or cp >= 0x10000)
+            if ch not in "&<>":
+                assert (report._svg_text(ch) == ch) is allowed, hex(cp)
+
 
 class TestReportJson:
     def test_study_bundle_contents(self, study_dataset):

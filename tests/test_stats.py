@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -274,6 +275,16 @@ class TestBarnard:
         for p in (res.p, res.p_one_sided, res.p_two_sided):
             assert math.isfinite(p) and 0.0 <= p <= 1.0
         assert res.p_one_sided <= res.p_two_sided + 1e-12
+
+    def test_grid_memory_is_flat(self):
+        # a dense grid x (N+1) array per tail peaked at ~94 MB for this table
+        tracemalloc.start()
+        try:
+            barnard_test(ContingencyTable2x2(420, 180, 380, 220))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_tied_mirror_table_in_two_sided_region(self):
         # For (3, 4, 5, 1) the mirror table (x1, x2) = (4, 1) scores exactly
