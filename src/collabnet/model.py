@@ -236,9 +236,15 @@ def _json_rows(doc, path, key: str, columns: tuple[str, ...]):
     if not isinstance(section, list):
         raise DataFormatError(f"{path}: {key!r} must be a list of row objects")
     raw = [c in _RAW_COLUMNS for c in columns]
-    return ((i, tuple(row.get(c) if r else _json_text(row.get(c))
-                      for c, r in zip(columns, raw)))
-            for i, row in enumerate(section))
+
+    def rows():
+        for i, row in enumerate(section):
+            if not isinstance(row, dict):
+                raise DataFormatError(f"{_location(path, 'json', key, i)}: row must be "
+                                      f"an object, got {type(row).__name__}")
+            yield i, tuple(row.get(c) if r else _json_text(row.get(c))
+                           for c, r in zip(columns, raw))
+    return rows()
 
 
 class _RowError(ValueError):

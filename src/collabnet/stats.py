@@ -5,6 +5,10 @@ number is auditable: the Mann-Whitney exact method counts group
 assignments with one subset-sum recurrence, and Barnard's test maximizes
 the log-space rejection-region probability over a dense nuisance-parameter
 grid with a local golden-section refinement.
+
+numpy serves only Barnard's test and is imported inside the functions that
+use it, so importing this module, or collabnet, does not load it; the first
+Barnard call in a process pays for that import.
 """
 
 from __future__ import annotations
@@ -13,11 +17,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .roles import ContingencyTable2x2
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_EXACT_CAP = 25
 DEFAULT_GRID_RESOLUTION = 1e-4
@@ -258,6 +263,8 @@ def wald_pooled_statistic(table: ContingencyTable2x2) -> float:
 
 def _pooled_scores(x1, x2, m1: int, m2: int) -> np.ndarray:
     """Pooled score statistic of the tables (x1, m1-x1, x2, m2-x2); broadcasts."""
+    import numpy as np
+
     pooled = (x1 + x2) / (m1 + m2)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (x1 / m1 - x2 / m2) / np.sqrt(pooled * (1 - pooled) * (1 / m1 + 1 / m2))
@@ -293,11 +300,15 @@ class BarnardResult:
 
 def _log_factorials(n: int) -> np.ndarray:
     """log k! for k = 0..n."""
+    import numpy as np
+
     return np.array([math.lgamma(x + 1) for x in range(n + 1)])
 
 
 def _region_log_weights(scores: np.ndarray, t_obs: float, tails: str) -> np.ndarray:
     """log sum of C(m1,x1)*C(m2,x2) over rejection cells of scores[x1, x2], by x1+x2."""
+    import numpy as np
+
     if tails == "two":
         hit = np.abs(scores) >= abs(t_obs) - _REGION_EPS
     elif t_obs >= 0:
@@ -318,6 +329,8 @@ def _region_log_weights(scores: np.ndarray, t_obs: float, tails: str) -> np.ndar
 
 def _region_probability(log_weights: np.ndarray, total: int, pis: np.ndarray) -> np.ndarray:
     """P(region | pi) = sum_s exp(logW_s + s log pi + (total-s) log(1-pi)); terms <= 1."""
+    import numpy as np
+
     ss = np.nonzero(np.isfinite(log_weights))[0]
     log_q = np.log1p(-pis)  # s*log(pi) + (total-s)*log_q, as one array built in place
     terms = np.multiply.outer(np.log(pis) - log_q, ss)
@@ -335,6 +348,8 @@ def _grid_probabilities(log_weights: np.ndarray, total: int, pis: np.ndarray) ->
     time and reduced against every region with one np.dot, so memory stays
     at _GRID_BLOCK floats whatever the grid size and total.
     """
+    import numpy as np
+
     ss = np.arange(total + 1)
     lf = _log_factorials(total)
     log_comb = lf[total] - lf - lf[::-1]
@@ -382,6 +397,8 @@ def _max_region_probability(log_weights: np.ndarray, total: int, pis: np.ndarray
     The grid only chooses the bracket: the reported probabilities all come
     from _region_probability.
     """
+    import numpy as np
+
     best = int(np.argmax(probs >= probs.max() * (1.0 - 1e-12)))
 
     def scalar(pi: float) -> float:
@@ -412,8 +429,11 @@ def barnard_test(table: ContingencyTable2x2, *, tails: str = "two",
     9999 interior points, enough for two-digit reproducibility on desk-scale
     tables. The grid is evaluated for both tails in fixed-size blocks, so its
     memory does not grow with grid x total; the lower bound caps the grid at a
-    million points to bound run time.
+    million points to bound run time. The first call in a process imports
+    numpy, which importing collabnet does not.
     """
+    import numpy as np
+
     _check_tails(tails)
     if not (1e-6 <= grid_resolution <= 0.1):
         raise ValueError(f"grid_resolution must be in [1e-06, 0.1], got {grid_resolution}")

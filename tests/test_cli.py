@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import collabnet
 from collabnet.cli import main
 
 from conftest import FIXTURES
@@ -65,6 +70,17 @@ class TestAnalyze:
         code, _, stderr = run(capsys, "analyze", "--data", broken, "--out", tmp_path / "o")
         assert code == 2
         assert "interactions.csv" in stderr
+
+    @pytest.mark.parametrize("section", ["projects", "teams", "interactions"])
+    def test_non_object_bundle_row_exits_1(self, tmp_path, capsys, section):
+        doc = {"projects": [], "teams": [], "interactions": []}
+        doc[section] = [["P1", "T1", "S1", 1]]
+        bundle = tmp_path / "dataset.json"
+        bundle.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, stderr = run(capsys, "analyze", "--data", bundle, "--out", tmp_path / "o")
+        assert code == 1
+        assert stderr.splitlines() == [
+            f"error: {bundle}:{section}[0]: row must be an object, got list"]
 
     def test_validation_failure_exits_1(self, tmp_path, capsys):
         broken = tmp_path / "broken"
@@ -267,3 +283,64 @@ class TestMisc:
                          "--measure", "heterogeneity")
         assert code == 0
         assert (env_dir / "mwu_TP1_heterogeneity.json").is_file()
+
+
+# Run in a fresh interpreter: cli.main with stdout captured, then report the
+# exit code and whether numpy was imported.
+NUMPY_PROBE = """\
+import contextlib, io, json, sys
+from collabnet import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+def fresh_python(*args) -> str:
+    src = str(Path(collabnet.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+class TestStartup:
+    """Only a run that performs Barnard's test imports numpy."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("startup")
+        (root / "cohort.json").write_text(json.dumps(COHORT_SPEC))
+        assert main(["synth", "--spec", str(root / "cohort.json"),
+                     "--out", str(root / "solo")]) == 0
+        shutil.copytree(STUDY, root / "broken")
+        with open(root / "broken" / "interactions.csv", "a") as fh:
+            fh.write("TP1,Team_1,S1,NOT-A-SUBTASK,\n")
+        return root
+
+    @pytest.mark.parametrize("module", ["collabnet", "collabnet.cli"])
+    def test_import_loads_no_numpy(self, module):
+        code = f"import sys, {module}; print('numpy' in sys.modules)"
+        assert fresh_python("-c", code).strip() == "False"
+
+    @pytest.mark.parametrize("argv, code, loads_numpy", [
+        (("analyze", "--data", "{solo}"), 0, False),
+        (("stats", "--data", STUDY, "--project", "TP1", "--measure", "quantity"), 0, False),
+        (("stats", "--data", STUDY, "--project", "TP1", "--measure", "quantity",
+          "--exact-mwu"), 0, False),
+        (("synth", "--spec", "{root}/cohort.json"), 0, False),
+        (("analyze", "--data", "{root}/broken"), 1, False),
+        (("--version",), 0, False),
+        (("analyze", "--data", STUDY), 0, True),
+    ], ids=["analyze-one-project", "stats", "stats-exact", "synth", "invalid", "version",
+            "analyze-two-projects"])
+    def test_numpy_loads_only_for_barnard(self, data, tmp_path, argv, code, loads_numpy):
+        argv = [str(a).format(root=data, solo=data / "solo") for a in argv]
+        if argv[0] != "--version":
+            argv += ["--out", tmp_path / "o"]
+        out = fresh_python("-c", NUMPY_PROBE, *argv)
+        assert json.loads(out) == [code, loads_numpy]

@@ -295,6 +295,13 @@ def test_json_bundle_is_parsed_once(study_dataset, tmp_path, monkeypatch):
      "projects[0]: points must be an integer, got 'x'"),
     ({"projects": [], "teams": [], "interactions": [], "metadata": [1]},
      "'metadata' must be an object"),
+    ({"projects": [["P1", "A1", "W", 2]], "teams": 3},
+     "projects[0]: row must be an object, got list"),
+    ({"projects": [], "teams": [{"project_id": "P1", "team_id": "T1", "student_id": "S1",
+                                 "is_leader": 1}, ["P1", "T1", "S2", 0]]},
+     "teams[1]: row must be an object, got list"),
+    ({"projects": [], "teams": [], "interactions": ["P1,T1,S1,A1"]},
+     "interactions[0]: row must be an object, got str"),
 ])
 def test_json_sections_fail_in_order(doc, message, tmp_path):
     path = tmp_path / "dataset.json"

@@ -277,7 +277,9 @@ class TestBarnard:
         assert res.p_one_sided <= res.p_two_sided + 1e-12
 
     def test_grid_memory_is_flat(self):
-        # a dense grid x (N+1) array per tail peaked at ~94 MB for this table
+        # a dense grid x (N+1) array per tail peaked at ~94 MB for this table.
+        # A warm-up call loads numpy first, so only the grid is traced.
+        barnard_test(ContingencyTable2x2(1, 0, 0, 1))
         tracemalloc.start()
         try:
             barnard_test(ContingencyTable2x2(420, 180, 380, 220))
