@@ -263,7 +263,11 @@ def _require_values(values, columns: tuple[str, ...]) -> None:
 
 
 def _parse_points(raw) -> int:
+    """A positive integer from CSV text or a JSON value; JSON bools and
+    fractional (or non-finite) numbers are refused, as '2.5' is in a CSV."""
     try:
+        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+            raise ValueError
         points = int(raw)
     except (TypeError, ValueError):
         raise _RowError(f"points must be an integer, got {raw!r}") from None

@@ -2,19 +2,20 @@
 
 Both tests are implemented from first principles so that every reported
 number is auditable: the Mann-Whitney exact method counts group
-assignments with one subset-sum recurrence, and Barnard's test maximizes
-the log-space rejection-region probability over a dense nuisance-parameter
-grid with a local golden-section refinement.
+assignments with one subset-sum recurrence on packed Python ints, exact
+at any size, and Barnard's test maximizes the log-space rejection-region
+probability over a dense nuisance-parameter grid with a local
+golden-section refinement.
 
 numpy serves only Barnard's test and is imported inside the functions that
-use it, so importing this module, or collabnet, does not load it; the first
-Barnard call in a process pays for that import.
+use it, so importing this module, or collabnet, does not load it, and
+neither does the exact Mann-Whitney method; the first Barnard call in a
+process pays for that import.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -24,7 +25,7 @@ from .roles import ContingencyTable2x2
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_EXACT_CAP = 25
+DEFAULT_EXACT_CAP = 220  # a tied 110 + 110 split runs in about 1 s
 DEFAULT_GRID_RESOLUTION = 1e-4
 _REGION_EPS = 1e-12
 _GRID_BLOCK = 1 << 17  # grid points x table totals held at once by the nuisance grid
@@ -67,15 +68,34 @@ def _tie_corrected_sd(ranks: Sequence[float], n1: int, n2: int) -> float:
 
 
 def _subset_sum_counts(values: Sequence[int], k: int) -> dict[int, int]:
-    """{sum: number of k-subsets} of nonnegative ints; exact, summing to C(len, k)."""
-    top = sum(sorted(values, reverse=True)[:k])
-    ways = [[0] * (top + 1) for _ in range(k + 1)]
-    ways[0][0] = 1
-    for i, v in enumerate(values):
-        for m in range(min(i + 1, k), 0, -1):
-            row, prev = ways[m], ways[m - 1]
-            row[v:] = map(operator.add, row[v:], prev[:top + 1 - v])
-    return {t: c for t, c in enumerate(ways[k]) if c}
+    """{sum: number of k-subsets} of nonnegative ints; exact, summing to C(len, k).
+
+    rows[m] is the generating polynomial of the m-subsets of the values seen
+    so far, sum_t count(t) * x**t, evaluated at x = 2**width, so adding a
+    value v is one shift-and-add per row. That identity holds at any width;
+    the width only has to hold each count of rows[k], at most C(len, k), for
+    its fields to be read back apart. A row below k - (values left) can no
+    longer reach rows[k] and is not updated, and the values are divided by
+    their gcd and taken in ascending order, so the rows grow as late as they
+    can.
+    """
+    n = len(values)
+    nbytes = max(1, (math.comb(n, k).bit_length() + 7) // 8)
+    width = 8 * nbytes
+    g = math.gcd(*values) or 1
+    rows = [1] + [0] * k
+    for i, v in enumerate(sorted(values)):
+        shift = v // g * width
+        for m in range(min(i + 1, k), max(0, k - n + i), -1):
+            rows[m] += rows[m - 1] << shift
+    packed = rows[k]
+    data = packed.to_bytes(-(-packed.bit_length() // width) * nbytes, "little")
+    counts = {}
+    for t, lo in enumerate(range(0, len(data), nbytes)):
+        c = int.from_bytes(data[lo:lo + nbytes], "little")
+        if c:
+            counts[t * g] = c
+    return counts
 
 
 def exact_u_distribution(n1: int, n2: int) -> dict[int, int]:
@@ -190,8 +210,10 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], *,
     continuity_correction : shrink |U - mean| by 0.5 before the normal score
     method : 'normal' for the tie-corrected normal approximation, 'exact' to
         count all C(n1+n2, n1) group assignments with a subset-sum
-        recurrence over doubled midranks (exact with or without ties); refused
-        above a pooled size of DEFAULT_EXACT_CAP
+        recurrence over doubled midranks, in packed Python ints, so the
+        counts are exact with or without ties and at any size; refused above
+        a pooled size of DEFAULT_EXACT_CAP (220), where one tied, balanced
+        call takes about a second
 
     U_a counts the (a, b) pairs with a < b, ties half, from one midranking of
     the pooled sample. The effect size r is |z| / sqrt(n1 + n2) in every mode.

@@ -325,3 +325,24 @@ def test_json_values_convert_as_before(tmp_path):
     assert ds.projects["P1"].subtasks == (Subtask("7", "P1", "W", 2),)
     assert ds.rosters == (TeamRoster("0", "P1", frozenset({"False"}), "False"),)
     assert ds.interactions == (InteractionRecord("P1", "0", "False", "7", "0"),)
+
+
+def test_fractional_points_rejected_in_csv(tmp_path):
+    path = tmp_path / "subtasks.csv"
+    path.write_text("project_id,subtask_id,task_type,points\nP1,A1,W,2.5\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        parse_project_specs(path)
+    assert str(info.value) == f"{path}:line[2]: points must be an integer, got '2.5'"
+
+
+@pytest.mark.parametrize("points, shown", [(2.5, "2.5"), (True, "True"), (False, "False"),
+                                           (float("inf"), "inf"), (float("nan"), "nan")])
+def test_json_points_must_be_integral(points, shown, tmp_path):
+    # as in a CSV, where '2.5' is refused: no truncation to 2, no bool as 1
+    doc = {"projects": [{"project_id": "P1", "subtask_id": "A1", "task_type": "W",
+                         "points": points}], "teams": [], "interactions": []}
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}:projects[0]: points must be an integer, got {shown}"

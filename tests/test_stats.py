@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from collabnet.roles import ContingencyTable2x2
 from collabnet.stats import (
+    _subset_sum_counts,
     barnard_test,
     exact_u_distribution,
     mann_whitney_from_u,
@@ -196,8 +199,45 @@ class TestExactMethod:
         assert_exact_matches_pairwise_oracle(a, b)
 
     def test_exact_cap_enforced(self):
-        with pytest.raises(ValueError, match="capped"):
-            mann_whitney_u(list(range(20)), list(range(20)), method="exact")
+        with pytest.raises(ValueError, match="capped at pooled size 220, got 221"):
+            mann_whitney_u(list(range(110)), list(range(110, 221)), method="exact")
+        res = mann_whitney_u(list(range(110)), list(range(110, 220)), method="exact")
+        # complete separation: one assignment of C(220, 110) is this extreme
+        assert res.p_one_sided == float(Fraction(1, math.comb(220, 110)))
+
+    def test_exact_beyond_float_precision(self):
+        # C(60, 30) > 2**53: the counts must stay exact Python ints
+        counts = exact_u_distribution(30, 30)
+        assert math.comb(60, 30) > 2**53
+        assert sum(counts.values()) == math.comb(60, 30)
+        assert all(counts[u] == counts[900 - u] for u in range(901))
+
+    @pytest.mark.parametrize("n, k", [(16, 8), (20, 10), (33, 16), (60, 30)])
+    def test_one_field_holds_every_subset(self, n, k):
+        # equal values put all C(n, k) subsets in one field, the widest count
+        assert _subset_sum_counts([0] * n, k) == {0: math.comb(n, k)}
+        assert _subset_sum_counts([3] * n, k) == {3 * k: math.comb(n, k)}
+
+    @given(st.lists(st.integers(0, 12), max_size=10), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_subset_sums_match_brute_force(self, values, data):
+        k = data.draw(st.integers(0, len(values)))
+        brute = Counter(map(sum, itertools.combinations(values, k)))
+        assert _subset_sum_counts(values, k) == dict(brute)
+
+    @pytest.mark.parametrize("n1, n2, seed", [(13, 14, 1), (7, 21, 2), (20, 20, 3)])
+    def test_exact_matches_scipy_without_ties(self, n1, n2, seed):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(seed)
+        pool = rng.sample(range(1000), n1 + n2)
+        a = [float(v) for v in pool[:n1]]
+        b = [v + 300.5 for v in pool[n1:]]   # no ties: scipy's exact method ignores them
+        res = mann_whitney_u(a, b, method="exact")
+        # a sits below b, so the one-sided p is the tail scipy calls "less"
+        ref = {side: scipy_stats.mannwhitneyu(a, b, method="exact", alternative=side).pvalue
+               for side in ("less", "two-sided")}
+        assert res.p_one_sided == pytest.approx(ref["less"], rel=1e-12)
+        assert res.p_two_sided == pytest.approx(ref["two-sided"], rel=1e-12)
 
     def test_exact_and_normal_agree_in_tail(self):
         a = [float(v) for v in range(14, 24)]
