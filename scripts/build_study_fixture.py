@@ -21,12 +21,11 @@ to 78, so two extra 3-point subtasks pad the difference.
 Run from the repository root:  python scripts/build_study_fixture.py
 """
 
-import random
 import sys
 from pathlib import Path
 
 from collabnet import pipeline, synth
-from collabnet.model import Dataset, InteractionRecord, TeamRoster, write_dataset
+from collabnet.model import Dataset, write_dataset
 from collabnet.roles import Role
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "study"
@@ -127,33 +126,15 @@ TP2_BANDS = {
 }
 
 
-def build_project_dataset(template, teams, leaders, bands, seed):
-    spec = synth.build_project(template, random.Random(seed))
-    rosters = []
-    interactions = []
-    for team_id in sorted(teams):
-        members = teams[team_id]
-        rosters.append(TeamRoster(team_id=team_id, project_id=spec.project_id,
-                                  members=frozenset(members),
-                                  leader=leaders[team_id]))
-        for student in members:
-            q_band, h_band = bands[student]
-            for sid in synth.plant_contribution(spec, q_band, h_band):
-                interactions.append(InteractionRecord(
-                    project_id=spec.project_id, team_id=team_id,
-                    student_id=student, subtask_id=sid))
-    return spec, rosters, interactions
-
-
 def build_dataset() -> Dataset:
-    spec1, rosters1, inter1 = build_project_dataset(
-        TP1_TEMPLATE, TP1_TEAMS, TP1_LEADERS, TP1_BANDS, seed=20301)
-    spec2, rosters2, inter2 = build_project_dataset(
-        TP2_TEMPLATE, TP2_TEAMS, TP2_LEADERS, TP2_BANDS, seed=20302)
+    tp1 = synth.plant_project(TP1_TEMPLATE, dict(sorted(TP1_TEAMS.items())),
+                              TP1_LEADERS, TP1_BANDS, seed=20301)
+    tp2 = synth.plant_project(TP2_TEMPLATE, dict(sorted(TP2_TEAMS.items())),
+                              TP2_LEADERS, TP2_BANDS, seed=20302)
     return Dataset(
-        projects={"TP1": spec1, "TP2": spec2},
-        rosters=tuple(rosters1 + rosters2),
-        interactions=tuple(inter1 + inter2),
+        projects={**tp1.projects, **tp2.projects},
+        rosters=tp1.rosters + tp2.rosters,
+        interactions=tp1.interactions + tp2.interactions,
         metadata={"generator": "study-fixture-v1", "seeds": "20301,20302"},
     )
 

@@ -81,6 +81,15 @@ def _out_dir(args) -> Path:
     return out
 
 
+_ID_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\\": "%5C"})
+
+
+def _file_name(kind: str, ext: str, *ids: str) -> str:
+    """Output file name from input ids; %, / and \\ are percent-encoded, so each
+    id stays one name inside the output directory and distinct ids differ."""
+    return "_".join([kind, *(i.translate(_ID_ESCAPES) for i in ids)]) + ext
+
+
 def _input_digests(data_path: str) -> dict[str, str]:
     path = Path(data_path)
     files = ([path] if path.is_file()
@@ -140,15 +149,15 @@ def cmd_analyze(args) -> int:
     for (pid, team_id), net in sorted(nets.items()):
         spec = dataset.projects[pid]
         dot = report.export_network_dot(net, team_profiles[(pid, team_id)], spec)
-        (out / f"network_{pid}_{team_id}.dot").write_text(dot, encoding="utf-8")
+        (out / _file_name("network", ".dot", pid, team_id)).write_text(dot, encoding="utf-8")
     for pid in sorted(bundle.profiles):
         svg = report.export_quadrant_svg(bundle.profiles[pid], thresholds)
-        (out / f"quadrant_{pid}.svg").write_text(svg, encoding="utf-8")
+        (out / _file_name("quadrant", ".svg", pid)).write_text(svg, encoding="utf-8")
     pids = sorted(bundle.profiles)
     if len(pids) == 2:
         combined = [p for pid in pids for p in bundle.profiles[pid]]
         svg = report.export_quadrant_svg(combined, thresholds)
-        (out / f"quadrant_{pids[0]}_{pids[1]}.svg").write_text(svg, encoding="utf-8")
+        (out / _file_name("quadrant", ".svg", *pids)).write_text(svg, encoding="utf-8")
 
     _print_role_table(bundle.profiles)
     print(f"\nreport written to {out / 'report.json'}")
@@ -179,7 +188,7 @@ def cmd_stats(args) -> int:
     print(f"  method = {result.method}, continuity_correction ="
           f" {result.continuity_correction}")
     out = _out_dir(args)
-    target = out / f"mwu_{args.project}_{args.measure}.json"
+    target = out / _file_name("mwu", ".json", args.project, args.measure)
     target.write_text(json.dumps(result.to_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"result written to {target}")
     return 0
@@ -224,7 +233,7 @@ def cmd_transitions(args) -> int:
     else:
         print("  Barnard's test skipped: a contingency row sum is zero")
     out = _out_dir(args)
-    target = out / f"transitions_{args.project_a}_{args.project_b}.json"
+    target = out / _file_name("transitions", ".json", args.project_a, args.project_b)
     target.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"result written to {target}")
     return 0

@@ -212,7 +212,7 @@ def _read_csv_rows(path, columns: tuple[str, ...]):
 
 
 def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

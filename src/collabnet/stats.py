@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .roles import ContingencyTable2x2
@@ -110,9 +109,9 @@ def exact_u_distribution(n1: int, n2: int) -> dict[int, int]:
     return {t - base: c for t, c in _subset_sum_counts(range(1, n1 + n2 + 1), n1).items()}
 
 
-def _exact_tail_fractions(u_a: float, n1: int, n2: int,
-                          ranks: Sequence[float]) -> tuple[Fraction, Fraction]:
-    """P(U* <= u_a) and P(U* >= u_a) over all C(n1+n2, n1) assignments.
+def _exact_tail_counts(u_a: float, n1: int, n2: int,
+                       ranks: Sequence[float]) -> tuple[int, int]:
+    """How many of the C(n1+n2, n1) assignments give U* <= u_a and U* >= u_a.
 
     Doubled midranks are integers even with ties, and 2*U_a is base minus
     their sum over the first n1 of the pooled ranks (sample a).
@@ -120,11 +119,10 @@ def _exact_tail_fractions(u_a: float, n1: int, n2: int,
     doubled = [int(round(2 * r)) for r in ranks]
     base = 2 * n1 * n2 + n1 * (n1 + 1)
     counts = _subset_sum_counts(doubled, n1)
-    total = math.comb(n1 + n2, n1)
     du = int(round(2 * u_a))
     lower = sum(c for t, c in counts.items() if base - t <= du)
     upper = sum(c for t, c in counts.items() if base - t >= du)
-    return Fraction(lower, total), Fraction(upper, total)
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -235,9 +233,11 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], *,
         if n > DEFAULT_EXACT_CAP:
             raise ValueError(
                 f"exact method capped at pooled size {DEFAULT_EXACT_CAP}, got {n}")
-        lower, upper = _exact_tail_fractions(u_a, n1, n2, ranks)
-        p_one = float(lower if u_a <= mu else upper)
-        p_two = float(min(1, 2 * min(lower, upper)))
+        lower, upper = _exact_tail_counts(u_a, n1, n2, ranks)
+        total = math.comb(n, n1)
+        # int / int is correctly rounded, so p is the nearest float to the exact ratio
+        p_one = (lower if u_a <= mu else upper) / total
+        p_two = min(total, 2 * min(lower, upper)) / total
     else:
         p_one = _norm_sf(abs(z))
         p_two = min(1.0, 2.0 * p_one)

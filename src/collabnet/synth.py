@@ -10,13 +10,13 @@ succeeds or reports the binding constraint; there is no rejection sampling.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import measures, pipeline
-from .model import Dataset, InteractionRecord, ProjectSpec, Subtask, TeamRoster
+from .model import (Dataset, InteractionRecord, ProjectSpec, Subtask, TeamRoster,
+                    _read_json)
 from .roles import Role
 
 GENERATOR_ID = "planted-cohort-v1"
@@ -144,8 +144,7 @@ class PlantedCohortSpec:
 
 def load_cohort_spec(path) -> PlantedCohortSpec:
     """Read a PlantedCohortSpec from its JSON file format."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     try:
         project = ProjectTemplate(
             project_id=doc["project"]["project_id"],
@@ -303,53 +302,63 @@ def build_project(template: ProjectTemplate, rng: random.Random) -> ProjectSpec:
     return ProjectSpec(template.project_id, subtasks)
 
 
-def generate_cohort(cohort: PlantedCohortSpec) -> Dataset:
-    """Generate a dataset whose measured (quantity, heterogeneity) pairs land
-    inside each student's requested bands; deterministic for a fixed seed."""
-    rng = random.Random(cohort.seed)
-    spec = build_project(cohort.project, rng)
+def plant_project(template: ProjectTemplate, teams: dict[str, list[str]],
+                  leaders: dict[str, str],
+                  bands: dict[str, tuple[tuple[float, float], tuple[float, float]]],
+                  seed: int, metadata: dict[str, str] | None = None) -> Dataset:
+    """One project whose students measure inside their (quantity, heterogeneity)
+    bands; deterministic for a fixed seed.
+
+    Teams are planted in the order of `teams` (team id -> members); `leaders`
+    maps a team id to its leader, and a team without an entry has none.
+    """
+    spec = build_project(template, random.Random(seed))
     pid = spec.project_id
+    planted = [(team_id, student) for team_id, members in teams.items()
+               for student in members]
 
     # plant each distinct band pair once, in first-appearance order
-    contribution = {bands: plant_contribution(spec, *bands) for bands in dict.fromkeys(
-        (t.quantity_band, t.heterogeneity_band) for t in cohort.targets)}
-    rosters = []
-    interactions = []
-    planted: list[tuple[str, RoleTarget]] = []  # (student, target)
-    for g in range(cohort.groups):
-        team_id = f"Team_{g + 1}"
-        members = []
-        leader = None
-        for k, target in enumerate(cohort.targets_for_group(g)):
-            student = f"S{g * cohort.group_size + k + 1}"
-            members.append(student)
-            if target.is_leader:
-                leader = student
-            for sid in contribution[(target.quantity_band, target.heterogeneity_band)]:
-                interactions.append(InteractionRecord(
-                    project_id=pid, team_id=team_id,
-                    student_id=student, subtask_id=sid))
-            planted.append((student, target))
-        rosters.append(TeamRoster(team_id=team_id, project_id=pid,
-                                  members=frozenset(members), leader=leader))
-
+    contribution = {pair: plant_contribution(spec, *pair)
+                    for pair in dict.fromkeys(bands[s] for _, s in planted)}
     dataset = Dataset(
         projects={pid: spec},
-        rosters=tuple(rosters),
-        interactions=tuple(interactions),
-        metadata={"generator": GENERATOR_ID, "seed": str(cohort.seed)},
+        rosters=tuple(TeamRoster(team_id=team_id, project_id=pid,
+                                 members=frozenset(members), leader=leaders.get(team_id))
+                      for team_id, members in teams.items()),
+        interactions=tuple(InteractionRecord(project_id=pid, team_id=team_id,
+                                             student_id=student, subtask_id=sid)
+                           for team_id, student in planted
+                           for sid in contribution[bands[student]]),
+        metadata=dict(metadata or {}),
     )
 
     # construction guarantee: re-measure every student through the pipeline
     measured = {p.student_id: p for p in pipeline.project_profiles(dataset)[pid]}
-    for student, target in planted:
+    for _, student in planted:
         dw, h = measured[student].quantity, measured[student].heterogeneity
-        q_lo, q_hi = target.quantity_band
-        h_lo, h_hi = target.heterogeneity_band
+        q_band, h_band = bands[student]
+        (q_lo, q_hi), (h_lo, h_hi) = q_band, h_band
         if not (q_lo - 1e-9 <= dw <= q_hi + 1e-9
                 and h_lo - 1e-9 <= h <= h_hi + 1e-9):
             raise InfeasibleTargetError(
                 f"planted student {student!r} measured ({dw:.4f}, {h:.4f}),"
-                f" outside bands {target.quantity_band} x {target.heterogeneity_band}"
+                f" outside bands {q_band} x {h_band}"
             )
     return dataset
+
+
+def generate_cohort(cohort: PlantedCohortSpec) -> Dataset:
+    """Generate a dataset whose measured (quantity, heterogeneity) pairs land
+    inside each student's requested bands; deterministic for a fixed seed."""
+    teams, leaders, bands = {}, {}, {}
+    for g in range(cohort.groups):
+        team_id = f"Team_{g + 1}"
+        members = teams[team_id] = []
+        for k, target in enumerate(cohort.targets_for_group(g)):
+            student = f"S{g * cohort.group_size + k + 1}"
+            members.append(student)
+            bands[student] = (target.quantity_band, target.heterogeneity_band)
+            if target.is_leader:
+                leaders[team_id] = student
+    return plant_project(cohort.project, teams, leaders, bands, cohort.seed,
+                         metadata={"generator": GENERATOR_ID, "seed": str(cohort.seed)})

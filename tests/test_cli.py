@@ -10,7 +10,7 @@ import pytest
 import collabnet
 from collabnet.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, make_dataset, make_interactions, make_roster
 
 STUDY = FIXTURES / "study"
 
@@ -81,6 +81,17 @@ class TestAnalyze:
         assert code == 1
         assert stderr.splitlines() == [
             f"error: {bundle}:{section}[0]: row must be an object, got list"]
+
+    def test_ids_stay_one_file_name_inside_out(self, tmp_path, capsys):
+        from collabnet.model import write_dataset
+        ds = make_dataset(roster=make_roster(team_id="A/B"),
+                          interactions=make_interactions([("S1", "A1")], team_id="A/B"))
+        write_dataset(ds, tmp_path / "data")
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "analyze", "--data", tmp_path / "data", "--out", out)
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "network_P1_A%2FB.dot", "quadrant_P1.svg", "report.json"]
 
     def test_validation_failure_exits_1(self, tmp_path, capsys):
         broken = tmp_path / "broken"
@@ -221,6 +232,14 @@ class TestSynth:
         assert code == 1
         assert str(spec_path) in stderr
         assert "Traceback" not in stderr
+
+    def test_malformed_spec_exits_1_naming_file(self, tmp_path, capsys):
+        spec_path = tmp_path / "cohort.json"
+        spec_path.write_text('{"seed": 1 "groups": 2}')
+        code, _, stderr = run(capsys, "synth", "--spec", spec_path, "--out", tmp_path / "o")
+        assert code == 1
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith(f"error: {spec_path}: invalid JSON: ")
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         spec_path = tmp_path / "cohort.json"

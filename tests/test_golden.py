@@ -118,6 +118,15 @@ def test_study_fixture_is_what_its_script_builds(fixture_script, tmp_path):
     assert len(written) == 3
 
 
+def test_study_fixture_is_planted_through_the_construction_check(fixture_script,
+                                                                 monkeypatch):
+    monkeypatch.setattr(synth, "plant_contribution", lambda spec, q, h: ())
+    with pytest.raises(synth.InfeasibleTargetError,
+                       match=r"planted student 'S1' measured \(0\.0000, 0\.0000\),"
+                             r" outside bands \(0\.72, 0\.74\) x \(0\.82, 0\.97\)"):
+        fixture_script.build_dataset()
+
+
 def test_study_fixture_script_verifies_what_it_builds(fixture_script, capsys):
     assert fixture_script.verify(fixture_script.build_dataset()) == 0
     out, err = capsys.readouterr()

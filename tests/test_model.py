@@ -194,6 +194,13 @@ class TestDatasetIO:
         assert bom == plain
         assert pipeline.project_profiles(bom) == pipeline.project_profiles(plain)
 
+    def test_utf8_bom_json_matches_plain(self, study_dataset, tmp_path):
+        write_dataset(study_dataset, tmp_path, fmt="json")
+        bundle = tmp_path / "dataset.json"
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + bundle.read_bytes())
+        assert load_dataset(bom) == load_dataset(bundle)
+
     def test_parsing_deterministic(self):
         a = load_dataset(FIXTURES / "study")
         b = load_dataset(FIXTURES / "study")

@@ -241,36 +241,46 @@ class TestGenerateCohort:
 
 
 class TestCohortSpecFile:
+    DOC = {
+        "seed": 9,
+        "groups": 2,
+        "group_size": 3,
+        "project": {
+            "project_id": "TP1",
+            "type_counts": {"Written": 35, "Research": 26, "Design": 17},
+            "point_values": {"2": 19, "3": 30, "5": 17, "10": 12},
+        },
+        "targets": [
+            {"role": "comprehensive_contributor",
+             "quantity_band": [0.65, 0.9],
+             "heterogeneity_band": [0.7, 0.95],
+             "is_leader": True},
+            {"role": "versatile_participant",
+             "quantity_band": [0.08, 0.35],
+             "heterogeneity_band": [0.65, 0.95]},
+            {"role": "free_rider",
+             "quantity_band": [0.0, 0.25],
+             "heterogeneity_band": [0.0, 0.35]},
+        ],
+    }
+
     def test_load_round_trip(self, tmp_path):
-        doc = {
-            "seed": 9,
-            "groups": 2,
-            "group_size": 3,
-            "project": {
-                "project_id": "TP1",
-                "type_counts": {"Written": 35, "Research": 26, "Design": 17},
-                "point_values": {"2": 19, "3": 30, "5": 17, "10": 12},
-            },
-            "targets": [
-                {"role": "comprehensive_contributor",
-                 "quantity_band": [0.65, 0.9],
-                 "heterogeneity_band": [0.7, 0.95],
-                 "is_leader": True},
-                {"role": "versatile_participant",
-                 "quantity_band": [0.08, 0.35],
-                 "heterogeneity_band": [0.65, 0.95]},
-                {"role": "free_rider",
-                 "quantity_band": [0.0, 0.25],
-                 "heterogeneity_band": [0.0, 0.35]},
-            ],
-        }
         path = tmp_path / "cohort.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(self.DOC))
         spec = load_cohort_spec(path)
         assert spec.seed == 9
         assert spec.project.size == 78
         assert spec.targets[0].is_leader
         generate_cohort(spec)  # feasible end to end
+
+    def test_utf8_bom_spec_generates(self, tmp_path):
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(self.DOC))
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        spec = load_cohort_spec(bom)
+        assert spec == load_cohort_spec(plain)
+        generate_cohort(spec)
 
     def test_missing_key_reported(self, tmp_path):
         path = tmp_path / "cohort.json"
