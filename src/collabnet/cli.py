@@ -86,7 +86,7 @@ _ID_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\\": "%5C"})
 
 def _file_name(kind: str, ext: str, *ids: str) -> str:
     """Output file name from input ids; %, / and \\ are percent-encoded, so each
-    id stays one name inside the output directory and distinct ids differ."""
+    id stays one name inside the output directory."""
     return "_".join([kind, *(i.translate(_ID_ESCAPES) for i in ids)]) + ext
 
 

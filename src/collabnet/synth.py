@@ -305,7 +305,7 @@ def build_project(template: ProjectTemplate, rng: random.Random) -> ProjectSpec:
 def plant_project(template: ProjectTemplate, teams: dict[str, list[str]],
                   leaders: dict[str, str],
                   bands: dict[str, tuple[tuple[float, float], tuple[float, float]]],
-                  seed: int, metadata: dict[str, str] | None = None) -> Dataset:
+                  seed: int) -> Dataset:
     """One project whose students measure inside their (quantity, heterogeneity)
     bands; deterministic for a fixed seed.
 
@@ -329,7 +329,7 @@ def plant_project(template: ProjectTemplate, teams: dict[str, list[str]],
                                              student_id=student, subtask_id=sid)
                            for team_id, student in planted
                            for sid in contribution[bands[student]]),
-        metadata=dict(metadata or {}),
+        metadata={"generator": GENERATOR_ID, "seed": str(seed)},
     )
 
     # construction guarantee: re-measure every student through the pipeline
@@ -360,5 +360,4 @@ def generate_cohort(cohort: PlantedCohortSpec) -> Dataset:
             bands[student] = (target.quantity_band, target.heterogeneity_band)
             if target.is_leader:
                 leaders[team_id] = student
-    return plant_project(cohort.project, teams, leaders, bands, cohort.seed,
-                         metadata={"generator": GENERATOR_ID, "seed": str(cohort.seed)})
+    return plant_project(cohort.project, teams, leaders, bands, cohort.seed)
