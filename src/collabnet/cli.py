@@ -136,6 +136,22 @@ def cmd_analyze(args) -> int:
         return 1
     thresholds = _thresholds(args)
     options = _stats_options(args)
+    # Every name is fixed before anything is written. Ids are joined with "_",
+    # which they may contain, so two teams can share a DOT name; the kinds have
+    # their own prefixes, and a one-project chart cannot take a two-project name.
+    teams = sorted({(r.project_id, r.team_id) for r in dataset.rosters})
+    dot_names: dict[str, tuple[str, str]] = {}
+    for key in teams:
+        name = _file_name("network", ".dot", *key)
+        if name in dot_names:
+            (p0, t0), (p1, t1) = dot_names[name], key
+            print(f"error: project {p0!r} team {t0!r} and project {p1!r} team {t1!r}"
+                  f" would both be written to {name}", file=sys.stderr)
+            return 1
+        dot_names[name] = key
+    pids = sorted({pid for pid, _ in teams})
+    charts = [(pid,) for pid in pids] + ([tuple(pids)] if len(pids) == 2 else [])
+    svg_names = {_file_name("quadrant", ".svg", *ids): ids for ids in charts}
     bundle = pipeline.run_analysis(dataset, thresholds, options,
                                    input_digests=_input_digests(args.data))
     out = _out_dir(args)
@@ -146,18 +162,13 @@ def cmd_analyze(args) -> int:
         for p in profiles:
             team_profiles.setdefault((pid, p.team_id), []).append(p)
     nets = pipeline.team_networks(dataset)
-    for (pid, team_id), net in sorted(nets.items()):
-        spec = dataset.projects[pid]
-        dot = report.export_network_dot(net, team_profiles[(pid, team_id)], spec)
-        (out / _file_name("network", ".dot", pid, team_id)).write_text(dot, encoding="utf-8")
-    for pid in sorted(bundle.profiles):
-        svg = report.export_quadrant_svg(bundle.profiles[pid], thresholds)
-        (out / _file_name("quadrant", ".svg", pid)).write_text(svg, encoding="utf-8")
-    pids = sorted(bundle.profiles)
-    if len(pids) == 2:
-        combined = [p for pid in pids for p in bundle.profiles[pid]]
-        svg = report.export_quadrant_svg(combined, thresholds)
-        (out / _file_name("quadrant", ".svg", *pids)).write_text(svg, encoding="utf-8")
+    for name, key in dot_names.items():
+        dot = report.export_network_dot(nets[key], team_profiles[key], dataset.projects[key[0]])
+        (out / name).write_text(dot, encoding="utf-8")
+    for name, ids in svg_names.items():
+        svg = report.export_quadrant_svg([p for pid in ids for p in bundle.profiles[pid]],
+                                         thresholds)
+        (out / name).write_text(svg, encoding="utf-8")
 
     _print_role_table(bundle.profiles)
     print(f"\nreport written to {out / 'report.json'}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__, measures, roles, stats
 from .model import Dataset
@@ -65,18 +65,8 @@ def _metadata(thresholds: Thresholds, options: StatsOptions,
     return {
         "tool": "collabnet",
         "version": __version__,
-        "thresholds": {
-            "quantity_cut": thresholds.quantity_cut,
-            "heterogeneity_cut": thresholds.heterogeneity_cut,
-            "boundary_rule": "high_inclusive",
-        },
-        "stats_options": {
-            "mwu_tails": options.mwu_tails,
-            "mwu_method": options.mwu_method,
-            "continuity_correction": options.continuity_correction,
-            "barnard_tails": options.barnard_tails,
-            "barnard_grid": options.barnard_grid,
-        },
+        "thresholds": {**asdict(thresholds), "boundary_rule": "high_inclusive"},
+        "stats_options": asdict(options),
         "inputs": {name: input_digests[name] for name in sorted(input_digests)},
     }
 

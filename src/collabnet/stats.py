@@ -9,8 +9,8 @@ golden-section refinement.
 
 numpy serves only Barnard's test and is imported inside the functions that
 use it, so importing this module, or collabnet, does not load it, and
-neither does the exact Mann-Whitney method; the first Barnard call in a
-process pays for that import.
+neither do the exact Mann-Whitney method and wald_pooled_statistic; the
+first Barnard call in a process pays for that import.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ if TYPE_CHECKING:
 
 DEFAULT_EXACT_CAP = 220  # a tied 110 + 110 split runs in about 1 s
 DEFAULT_GRID_RESOLUTION = 1e-4
-_REGION_EPS = 1e-12
-_GRID_BLOCK = 1 << 17  # grid points x table totals held at once by the nuisance grid
+_GRID_BLOCK = 1 << 17  # floats per block held at once by the region pass and the grid
 
 
 def _norm_sf(x: float) -> float:
@@ -280,17 +279,10 @@ def wald_pooled_statistic(table: ContingencyTable2x2) -> float:
     m1, m2 = a + b, c + d
     if m1 == 0 or m2 == 0:
         raise ValueError("both row sums must be positive")
-    return float(_pooled_scores(a, c, m1, m2))
-
-
-def _pooled_scores(x1, x2, m1: int, m2: int) -> np.ndarray:
-    """Pooled score statistic of the tables (x1, m1-x1, x2, m2-x2); broadcasts."""
-    import numpy as np
-
-    pooled = (x1 + x2) / (m1 + m2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (x1 / m1 - x2 / m2) / np.sqrt(pooled * (1 - pooled) * (1 / m1 + 1 / m2))
-    return np.where((pooled == 0.0) | (pooled == 1.0), 0.0, t)
+    pooled = (a + c) / (m1 + m2)
+    if pooled in (0.0, 1.0):
+        return 0.0
+    return (a / m1 - c / m2) / math.sqrt(pooled * (1 - pooled) * (1 / m1 + 1 / m2))
 
 
 @dataclass(frozen=True)
@@ -327,26 +319,53 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(x + 1) for x in range(n + 1)])
 
 
-def _region_log_weights(scores: np.ndarray, t_obs: float, tails: str) -> np.ndarray:
-    """log sum of C(m1,x1)*C(m2,x2) over rejection cells of scores[x1, x2], by x1+x2."""
+def _region_log_weights(a: int, c: int, m1: int, m2: int) -> np.ndarray:
+    """log sum of C(m1,x1)*C(m2,x2) over each tail's rejection region, by s = x1+x2.
+
+    Row 0 is the one-sided region of the observed table (a, c), row 1 the
+    two-sided one. On the diagonal s, with D = x1*N - s*m1, the pooled score
+    is T = D * sqrt(N / (m1*m2*s*(N-s))), so |T| >= |t_obs| holds exactly when
+    D**2 * s_o*(N-s_o) >= D_o**2 * s*(N-s): the two-sided region is
+    D >= far_s or D <= -far_s, with far_s the least such D >= 0, and the
+    one-sided region keeps the side of sign(D_o). The bounds are Python ints,
+    so no tolerance decides a tie. The cells with s in {0, N} score 0 and
+    enter only when t_obs = 0. Diagonals are filled _GRID_BLOCK cells at a
+    time, each block as wide as its widest diagonal, and every diagonal is
+    summed in ascending x1, so memory stays linear in N.
+    """
     import numpy as np
 
-    if tails == "two":
-        hit = np.abs(scores) >= abs(t_obs) - _REGION_EPS
-    elif t_obs >= 0:
-        hit = scores >= t_obs - _REGION_EPS
-    else:
-        hit = scores <= t_obs + _REGION_EPS
-    m1, m2 = scores.shape[0] - 1, scores.shape[1] - 1
-    x1, x2 = np.nonzero(hit)
-    lf = _log_factorials(m1 + m2)
-    log_terms = (lf[m1] - lf[x1] - lf[m1 - x1]) + (lf[m2] - lf[x2] - lf[m2 - x2])
-    s = x1 + x2
-    peak = np.full(m1 + m2 + 1, -np.inf)
-    np.maximum.at(peak, s, log_terms)
-    sums = np.bincount(s, weights=np.exp(log_terms - peak[s]), minlength=peak.size)
-    with np.errstate(divide="ignore"):
-        return peak + np.log(sums)
+    n = m1 + m2
+    s_o = a + c
+    d_o = a * n - s_o * m1
+    # D = 0 on s in {0, N}, so far_s = 1 keeps those cells out when t_obs != 0
+    far = np.array([0 if d_o == 0 else 1 if s in (0, n)
+                    else math.isqrt((d_o * d_o * s * (n - s) - 1) // (s_o * (n - s_o))) + 1
+                    for s in range(n + 1)])
+    lf = _log_factorials(n)
+    ss = np.arange(n + 1)
+    first = np.maximum(ss - m2, 0)  # x1 runs over first..last on diagonal s
+    last = np.minimum(ss, m1)
+    out = np.empty((2, n + 1))
+    rows = max(1, _GRID_BLOCK // (min(m1, m2) + 1))
+    for lo in range(0, n + 1, rows):
+        block = slice(lo, lo + rows)
+        s, start, end = ss[block, None], first[block, None], last[block, None]
+        x1 = start + np.arange((end - start).max() + 1)
+        inside = x1 <= end
+        x1 = np.minimum(x1, end)
+        x2 = s - x1
+        log_terms = (lf[m1] - lf[x1] - lf[m1 - x1]) + (lf[m2] - lf[x2] - lf[m2 - x2])
+        dist = x1 * n - s * m1
+        upper = inside & (dist >= far[block, None])
+        lower = inside & (dist <= -far[block, None])
+        for row, hit in enumerate((upper if d_o >= 0 else lower, upper | lower)):
+            masked = np.where(hit, log_terms, -np.inf)
+            peak = masked.max(axis=1)
+            terms = np.exp(masked - np.where(peak > -np.inf, peak, 0.0)[:, None])
+            with np.errstate(divide="ignore"):
+                out[row, block] = peak + np.log(np.cumsum(terms, axis=1)[:, -1])
+    return out
 
 
 def _region_probability(log_weights: np.ndarray, total: int, pis: np.ndarray) -> np.ndarray:
@@ -449,8 +468,9 @@ def barnard_test(table: ContingencyTable2x2, *, tails: str = "two",
 
     grid_resolution is the grid step, in [1e-6, 0.1]; the default 1e-4 places
     9999 interior points, enough for two-digit reproducibility on desk-scale
-    tables. The grid is evaluated for both tails in fixed-size blocks, so its
-    memory does not grow with grid x total; the lower bound caps the grid at a
+    tables. The region is decided exactly in integers and both tails' weights
+    and grid are evaluated in fixed-size blocks, so memory grows with neither
+    m1 x m2 nor grid x total; the lower bound caps the grid at a
     million points to bound run time. The first call in a process imports
     numpy, which importing collabnet does not.
     """
@@ -463,10 +483,8 @@ def barnard_test(table: ContingencyTable2x2, *, tails: str = "two",
     m1, m2 = a + b, c + d
     if m1 == 0 or m2 == 0:
         raise ValueError("both row sums must be at least 1")
-    scores = _pooled_scores(np.arange(m1 + 1)[:, None], np.arange(m2 + 1)[None, :], m1, m2)
-    t_obs = float(scores[a, c])
-
-    log_weights = np.array([_region_log_weights(scores, t_obs, side) for side in ("one", "two")])
+    t_obs = wald_pooled_statistic(table)
+    log_weights = _region_log_weights(a, c, m1, m2)
     pis = np.arange(1, int(round(1.0 / grid_resolution))) * grid_resolution
     grid = _grid_probabilities(log_weights, m1 + m2, pis)
     (p_one, argmax_one), (p_two, argmax_two) = (

@@ -70,21 +70,20 @@ def oracle_barnard_dense(cells: tuple[int, int, int, int],
     The search barnard_test ran before its nuisance grid was blocked: one
     grid x (N+1) array per tail through _region_probability, the lowest grid
     point within a relative 1e-12 of the maximum, then _golden_max around
-    it. Returns {"one": (p, argmax), "two": (p, argmax)}.
+    it. Returns {"one": (p, argmax), "two": (p, argmax)}. The region
+    (_region_log_weights) and the evaluator (_region_probability) are the
+    ones barnard_test uses, so this checks only the blocking of the grid.
     """
     import numpy as np
 
-    from collabnet.stats import (_golden_max, _pooled_scores, _region_log_weights,
-                                 _region_probability)
+    from collabnet.stats import _golden_max, _region_log_weights, _region_probability
 
     a, b, c, d = cells
     m1, m2 = a + b, c + d
     total = m1 + m2
-    scores = _pooled_scores(np.arange(m1 + 1)[:, None], np.arange(m2 + 1)[None, :], m1, m2)
     pis = np.arange(1, int(round(1.0 / step))) * step
     out = {}
-    for side in ("one", "two"):
-        log_weights = _region_log_weights(scores, float(scores[a, c]), side)
+    for side, log_weights in zip(("one", "two"), _region_log_weights(a, c, m1, m2)):
         probs = _region_probability(log_weights, total, pis)
         best = int(np.argmax(probs >= probs.max() * (1.0 - 1e-12)))
         best_pi, best_p = float(pis[best]), float(probs[best])

@@ -10,7 +10,7 @@ import pytest
 import collabnet
 from collabnet.cli import main
 
-from conftest import FIXTURES, make_dataset, make_interactions, make_roster
+from conftest import FIXTURES, make_dataset, make_interactions, make_roster, make_spec
 
 STUDY = FIXTURES / "study"
 
@@ -92,6 +92,24 @@ class TestAnalyze:
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "network_P1_A%2FB.dot", "quadrant_P1.svg", "report.json"]
+
+    def test_teams_sharing_a_file_name_exit_1(self, tmp_path, capsys):
+        # ids are joined with "_", so team 1_X of P and team X of P_1 share a name
+        from collabnet.model import Dataset, write_dataset
+        teams = (("P", "1_X"), ("P_1", "X"))
+        ds = Dataset(projects={pid: make_spec(pid) for pid, _ in teams},
+                     rosters=tuple(make_roster(team_id=t, project_id=pid) for pid, t in teams),
+                     interactions=sum((make_interactions([("S1", "A1")], team_id=t, project_id=pid)
+                                       for pid, t in teams), ()))
+        write_dataset(ds, tmp_path / "data")
+        out = tmp_path / "out"
+        code, stdout, stderr = run(capsys, "analyze", "--data", tmp_path / "data", "--out", out)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.splitlines() == [
+            "error: project 'P' team '1_X' and project 'P_1' team 'X'"
+            " would both be written to network_P_1_X.dot"]
+        assert not out.exists()
 
     def test_validation_failure_exits_1(self, tmp_path, capsys):
         broken = tmp_path / "broken"
@@ -344,6 +362,12 @@ class TestStartup:
     @pytest.mark.parametrize("module", ["collabnet", "collabnet.cli"])
     def test_import_loads_no_numpy(self, module):
         code = f"import sys, {module}; print('numpy' in sys.modules)"
+        assert fresh_python("-c", code).strip() == "False"
+
+    def test_wald_statistic_loads_no_numpy(self):
+        code = ("import sys; from collabnet import ContingencyTable2x2, wald_pooled_statistic;"
+                " wald_pooled_statistic(ContingencyTable2x2(8, 1, 5, 6));"
+                " print('numpy' in sys.modules)")
         assert fresh_python("-c", code).strip() == "False"
 
     @pytest.mark.parametrize("argv, code, loads_numpy", [

@@ -241,11 +241,8 @@ class TestBarnard:
         a, b, c, d = cells
         assume(a + b >= 1 and c + d >= 1)
         res = barnard_test(ContingencyTable2x2(a, b, c, d), grid_resolution=1e-3)
-        from collabnet.stats import (_pooled_scores, _region_log_weights,
-                                     _region_probability)
-        m1, m2 = a + b, c + d
-        scores = _pooled_scores(np.arange(m1 + 1)[:, None], np.arange(m2 + 1)[None, :], m1, m2)
-        log_weights = _region_log_weights(scores, res.t, "two")
+        from collabnet.stats import _region_log_weights, _region_probability
+        log_weights = _region_log_weights(a, c, a + b, c + d)[1]
         for pi in (0.1, 0.25, 0.5, 0.75, 0.9):
             single = float(_region_probability(log_weights, a + b + c + d,
                                                np.array([pi]))[0])
@@ -254,29 +251,38 @@ class TestBarnard:
     @given(tables, st.sampled_from(["one", "two"]))
     @settings(max_examples=60, deadline=None)
     def test_region_probability_matches_cellwise_loop(self, cells, tails):
-        # reference: score every table on its own and sum exact binomial terms
+        # reference: decide every table on its own in integers and sum exact
+        # binomial terms. With D = x1*m2 - x2*m1 and s = x1 + x2, |T| >= |t_obs|
+        # is D**2 * s_o*(N - s_o) >= D_o**2 * s*(N - s); s in {0, N} scores 0.
         a, b, c, d = cells
         assume(a + b >= 1 and c + d >= 1)
-        from collabnet.stats import (_REGION_EPS, _pooled_scores, _region_log_weights,
-                                     _region_probability, wald_pooled_statistic)
+        from collabnet.stats import _region_log_weights, _region_probability
         m1, m2 = a + b, c + d
-        t_obs = wald_pooled_statistic(ContingencyTable2x2(a, b, c, d))
-        scores = _pooled_scores(np.arange(m1 + 1)[:, None], np.arange(m2 + 1)[None, :], m1, m2)
+        n, s_o, d_o = m1 + m2, a + c, a * m2 - c * m1
+        region = []
+        for x1 in range(m1 + 1):
+            for x2 in range(m2 + 1):
+                s, dist = x1 + x2, x1 * m2 - x2 * m1
+                if d_o == 0:
+                    hit = tails == "two" or dist >= 0
+                else:
+                    hit = (0 < s < n and dist ** 2 * s_o * (n - s_o) >= d_o ** 2 * s * (n - s)
+                           and (tails == "two" or dist * d_o > 0))
+                if hit:
+                    region.append((x1, x2))
+        log_weights = _region_log_weights(a, c, m1, m2)[0 if tails == "one" else 1]
+        weights = [0] * (n + 1)
+        for x1, x2 in region:
+            weights[x1 + x2] += math.comb(m1, x1) * math.comb(m2, x2)
+        for w, lw in zip(weights, log_weights):
+            assert math.exp(lw) == pytest.approx(w, rel=1e-12, abs=0.0)
         pis = np.array([0.05, 0.3, 0.5, 0.8])
-        got = _region_probability(_region_log_weights(scores, t_obs, tails), m1 + m2, pis)
+        got = _region_probability(log_weights, n, pis)
         for pi, p in zip(pis, got):
             expected = 0.0
-            for x1 in range(m1 + 1):
-                for x2 in range(m2 + 1):
-                    t = wald_pooled_statistic(ContingencyTable2x2(x1, m1 - x1, x2, m2 - x2))
-                    if tails == "two":
-                        hit = abs(t) >= abs(t_obs) - _REGION_EPS
-                    else:
-                        hit = (t >= t_obs - _REGION_EPS if t_obs >= 0
-                               else t <= t_obs + _REGION_EPS)
-                    if hit:
-                        expected += (math.comb(m1, x1) * math.comb(m2, x2)
-                                     * pi ** (x1 + x2) * (1 - pi) ** (m1 + m2 - x1 - x2))
+            for x1, x2 in region:
+                expected += (math.comb(m1, x1) * math.comb(m2, x2)
+                             * pi ** (x1 + x2) * (1 - pi) ** (m1 + m2 - x1 - x2))
             assert p == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
@@ -310,18 +316,21 @@ class TestBarnardGrid:
     @given(tables, st.sampled_from(["one", "two"]))
     @settings(max_examples=40, deadline=None)
     def test_block_size_does_not_change_the_grid(self, shape, tails):
-        # 999 grid points: 7-row blocks leave a partial last block
+        # 999 grid points: 7-row blocks leave a partial last block. The same
+        # _GRID_BLOCK sizes the region pass, here from a few diagonals per block
+        # (partial last block included) to one block for all.
         x1, m1, x2, m2 = shape
         total = m1 + m2
-        scores = stats._pooled_scores(np.arange(m1 + 1)[:, None],
-                                      np.arange(m2 + 1)[None, :], m1, m2)
-        log_weights = stats._region_log_weights(scores, float(scores[x1, x2]), tails)
+        row = 0 if tails == "one" else 1
+        log_weights = stats._region_log_weights(x1, x2, m1, m2)[row]
         pis = np.arange(1, 1000) * 1e-3
         dense = stats._region_probability(log_weights, total, pis)
         dense_best = int(np.argmax(dense >= dense.max() * (1.0 - 1e-12)))
         for rows in (1, 7, pis.size):
             with mock.patch.object(stats, "_GRID_BLOCK", rows * (total + 1)):
                 got = stats._grid_probabilities(log_weights[None, :], total, pis)[0]
+                region = stats._region_log_weights(x1, x2, m1, m2)[row]
+            assert np.array_equal(region, log_weights)
             assert int(np.argmax(got >= got.max() * (1.0 - 1e-12))) == dense_best
             assert np.max(np.abs(got - dense)) <= 1e-13 * dense.max()
 

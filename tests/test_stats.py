@@ -317,16 +317,18 @@ class TestBarnard:
         assert res.p_one_sided <= res.p_two_sided + 1e-12
 
     def test_grid_memory_is_flat(self):
-        # a dense grid x (N+1) array per tail peaked at ~94 MB for this table.
-        # A warm-up call loads numpy first, so only the grid is traced.
+        # a dense grid x (N+1) array per tail peaked at ~94 MB for the first
+        # table, and a (m1+1) x (m2+1) score matrix at ~111 MiB for the second.
+        # A warm-up call loads numpy first, so only the test is traced.
         barnard_test(ContingencyTable2x2(1, 0, 0, 1))
-        tracemalloc.start()
-        try:
-            barnard_test(ContingencyTable2x2(420, 180, 380, 220))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        for cells in ((420, 180, 380, 220), (1000, 500, 900, 600)):
+            tracemalloc.start()
+            try:
+                barnard_test(ContingencyTable2x2(*cells))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20, cells
 
     def test_tied_mirror_table_in_two_sided_region(self):
         # For (3, 4, 5, 1) the mirror table (x1, x2) = (4, 1) scores exactly
