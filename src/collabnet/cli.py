@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, pipeline, report, stats, synth
-from .model import Dataset, load_dataset, validate_dataset, write_dataset
+from .model import Dataset, load_dataset, validate_dataset, write_dataset, write_text
 # build_contingency, role_transitions and unpaired_students stay for bench/tracing.py
 from .roles import Thresholds, build_contingency, role_transitions, unpaired_students
 
@@ -164,11 +164,11 @@ def cmd_analyze(args) -> int:
     nets = pipeline.team_networks(dataset)
     for name, key in dot_names.items():
         dot = report.export_network_dot(nets[key], team_profiles[key], dataset.projects[key[0]])
-        (out / name).write_text(dot, encoding="utf-8")
+        write_text(out / name, dot)
     for name, ids in svg_names.items():
         svg = report.export_quadrant_svg([p for pid in ids for p in bundle.profiles[pid]],
                                          thresholds)
-        (out / name).write_text(svg, encoding="utf-8")
+        write_text(out / name, svg)
 
     _print_role_table(bundle.profiles)
     print(f"\nreport written to {out / 'report.json'}")
@@ -199,8 +199,8 @@ def cmd_stats(args) -> int:
     print(f"  method = {result.method}, continuity_correction ="
           f" {result.continuity_correction}")
     out = _out_dir(args)
-    target = out / _file_name("mwu", ".json", args.project, args.measure)
-    target.write_text(json.dumps(result.to_dict(), indent=2) + "\n", encoding="utf-8")
+    target = write_text(out / _file_name("mwu", ".json", args.project, args.measure),
+                        json.dumps(result.to_dict(), indent=2) + "\n")
     print(f"result written to {target}")
     return 0
 
@@ -244,8 +244,8 @@ def cmd_transitions(args) -> int:
     else:
         print("  Barnard's test skipped: a contingency row sum is zero")
     out = _out_dir(args)
-    target = out / _file_name("transitions", ".json", args.project_a, args.project_b)
-    target.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    target = write_text(out / _file_name("transitions", ".json", args.project_a, args.project_b),
+                        json.dumps(doc, indent=2) + "\n")
     print(f"result written to {target}")
     return 0
 

@@ -18,7 +18,9 @@ dataset.json      one object with keys "projects", "teams", "interactions",
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -379,6 +381,35 @@ def load_dataset(path) -> Dataset:
 # Serialization
 # ---------------------------------------------------------------------------
 
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def write_text(path, text: str) -> Path:
+    """Write text to path as UTF-8, over the file's old bytes; returns the path.
+
+    Every file collabnet writes goes through here. The file is opened without
+    O_TRUNC and cut to the new length after the write. A truncate to zero
+    would make ext4 (auto_da_alloc) start the file's writeback when it is
+    closed, which costs a re-run into the same directory several times a
+    first run's writes; writing over the old bytes never starts that flush.
+    A new file gets the mode open(path, "w") would give it; an existing file
+    keeps its mode. Line endings are written as given, on every platform.
+    The write is neither atomic nor synced: after a crash the file may hold
+    old and new bytes mixed, and a re-run rewrites it.
+    """
+    path = Path(path)
+    data = text.encode("utf-8")
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+    return path
+
+
 def _subtask_rows(dataset: Dataset) -> list[dict]:
     rows = []
     for pid in sorted(dataset.projects):
@@ -423,21 +454,18 @@ def write_dataset(dataset: Dataset, out_dir, fmt: str = "csv") -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        target = out_dir / "dataset.json"
-        target.write_text(dataset_to_json(dataset), encoding="utf-8")
-        return [target]
+        return [write_text(out_dir / "dataset.json", dataset_to_json(dataset))]
     written = []
     for name, fields, rows in (
         ("subtasks.csv", SUBTASK_FIELDS, _subtask_rows(dataset)),
         ("teams.csv", TEAM_FIELDS, _team_rows(dataset)),
         ("interactions.csv", INTERACTION_FIELDS, _interaction_rows(dataset)),
     ):
-        target = out_dir / name
-        with open(target, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(fields), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-        written.append(target)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(fields), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        written.append(write_text(out_dir / name, buf.getvalue()))
     return written
 
 

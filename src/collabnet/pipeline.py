@@ -40,14 +40,16 @@ def team_networks(dataset: Dataset) -> dict[tuple[str, str], measures.BipartiteN
 def project_profiles(dataset: Dataset,
                      thresholds: Thresholds = Thresholds(),
                      ) -> dict[str, tuple[ContributionProfile, ...]]:
-    """Profile every roster member, grouped by project, ordered by (team, student)."""
+    """Profile every roster member, grouped by project, ordered by (team, student).
+
+    Every project of the dataset has an entry; one without teams has an empty one.
+    """
     nets = team_networks(dataset)
-    out: dict[str, list[ContributionProfile]] = {}
+    out: dict[str, list[ContributionProfile]] = {pid: [] for pid in dataset.project_ids()}
     for roster in dataset.rosters:
         spec = dataset.projects[roster.project_id]
         net = nets[(roster.project_id, roster.team_id)]
-        out.setdefault(roster.project_id, []).extend(
-            roles.profile_team(net, spec, roster, thresholds))
+        out[roster.project_id].extend(roles.profile_team(net, spec, roster, thresholds))
     return {pid: tuple(profs) for pid, profs in out.items()}
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .measures import BipartiteNetwork
-from .model import ProjectSpec
+from .model import ProjectSpec, write_text
 from .roles import ContingencyTable2x2, ContributionProfile, RoleTransition, Thresholds
 from .stats import BarnardResult, MwuResult
 
@@ -315,6 +315,4 @@ def report_to_json(bundle: ReportBundle) -> str:
 
 def write_report_json(bundle: ReportBundle, path) -> Path:
     """Write report.json; returns the path written."""
-    path = Path(path)
-    path.write_text(report_to_json(bundle), encoding="utf-8")
-    return path
+    return write_text(path, report_to_json(bundle))

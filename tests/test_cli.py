@@ -21,6 +21,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def teamless(tmp_path):
+    """The study fixture plus a project TP3 that has a subtask but no teams."""
+    data = tmp_path / "teamless"
+    shutil.copytree(STUDY, data)
+    with open(data / "subtasks.csv", "a", encoding="utf-8") as fh:
+        fh.write("TP3,X1,Written,2\n")
+    return data
+
+
 class TestAnalyze:
     def test_study_fixture_full_run(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -111,6 +121,25 @@ class TestAnalyze:
             " would both be written to network_P_1_X.dot"]
         assert not out.exists()
 
+    def test_project_without_teams_has_empty_profiles(self, teamless, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, stderr = run(capsys, "analyze", "--data", teamless, "--out", out)
+        assert code == 0, stderr
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["profiles"]["TP3"] == []
+        assert "TP3/quantity" not in doc["mann_whitney"]
+        assert list(doc["transitions"]) == ["TP1->TP2", "TP2->TP3"]
+        assert "barnard" not in doc["transitions"]["TP2->TP3"]
+
+    def test_directory_at_an_output_name_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        code, _, stderr = run(capsys, "analyze", "--data", STUDY, "--out", out)
+        assert code == 2
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("error: ")
+        assert "report.json" in stderr and "Traceback" not in stderr
+
     def test_validation_failure_exits_1(self, tmp_path, capsys):
         broken = tmp_path / "broken"
         shutil.copytree(STUDY, broken)
@@ -159,6 +188,14 @@ class TestStats:
         assert code == 1
         assert "leader" in stderr
 
+    def test_project_without_teams_is_an_error(self, teamless, tmp_path, capsys):
+        code, _, stderr = run(capsys, "stats", "--data", teamless, "--project", "TP3",
+                              "--measure", "quantity", "--out", tmp_path / "o")
+        assert code == 1
+        assert stderr.splitlines() == [
+            "error: leader-vs-nonleader grouping needs both groups nonempty in"
+            " project 'TP3' (leaders: 0, non-leaders: 0)"]
+
     def test_exact_method_flag(self, tmp_path, capsys):
         code, stdout, _ = run(capsys, "stats", "--data", STUDY, "--project", "TP1",
                               "--measure", "quantity", "--exact-mwu",
@@ -193,6 +230,20 @@ class TestTransitions:
         assert "[  0   0]" in stdout
         assert "[  0  21]" in stdout
         assert "skipped" in stdout  # zero leadership-change margin
+
+    def test_project_without_teams_drops_everyone(self, teamless, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, stderr = run(capsys, "transitions", "--data", teamless,
+                                   "TP2", "TP3", "--out", out)
+        assert code == 0, stderr
+        assert "Barnard's test skipped" in stdout
+        tp2 = sorted({line.split(",")[2] for line in (STUDY / "teams.csv").read_text()
+                      .splitlines()[1:] if line.startswith("TP2,")})
+        doc = json.loads((out / "transitions_TP2_TP3.json").read_text())
+        assert sorted(doc["dropouts"]) == tp2 and len(tp2) == 20
+        assert doc["joiners"] == []
+        assert doc["contingency"] == {"a": 0, "b": 0, "c": 0, "d": 0}
+        assert "barnard" not in doc
 
     def test_too_fine_barnard_grid_exits_1(self, tmp_path, capsys):
         code, stdout, stderr = run(capsys, "transitions", "--data", STUDY, "TP1", "TP2",

@@ -148,22 +148,66 @@ def test_dot_and_svg_files_match_pinned_digests(study_out):
     assert written == FILE_SHA256
 
 
-def test_report_sections_match_pinned_digests(study_out):
-    doc = json.loads((study_out / "report.json").read_text(encoding="utf-8"))
+def _section_digests(doc: dict) -> dict[str, str]:
     sections = {
         "profiles": doc["profiles"],
         "mann_whitney": doc["mann_whitney"],
         "contingency": {key: t["contingency"] for key, t in doc["transitions"].items()},
     }
-    digests = {name: _sha256(json.dumps(section, sort_keys=True).encode("utf-8"))
-               for name, section in sections.items()}
-    assert digests == SECTION_SHA256
+    return {name: _sha256(json.dumps(section, sort_keys=True).encode("utf-8"))
+            for name, section in sections.items()}
+
+
+def test_report_sections_match_pinned_digests(study_out):
+    doc = json.loads((study_out / "report.json").read_text(encoding="utf-8"))
+    assert _section_digests(doc) == SECTION_SHA256
 
 
 def test_report_barnard_matches_pinned_values(study_out):
     doc = json.loads((study_out / "report.json").read_text(encoding="utf-8"))
     assert list(doc["transitions"]) == ["TP1->TP2"]
     _assert_pinned_barnard(doc["transitions"]["TP1->TP2"]["barnard"])
+
+
+# Longer than any file a fixture run writes, so a re-run must shorten each one.
+JUNK = "junk that a re-run must leave no trace of\n" * 1000
+
+
+def _fill_with_junk(out, names):
+    out.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        (out / name).write_text(JUNK, encoding="utf-8")
+
+
+def test_rerun_over_longer_files_matches_pinned_digests(study_out, tmp_path, capsys):
+    out = tmp_path / "out"
+    _fill_with_junk(out, [*FILE_SHA256, "report.json"])
+    assert cli_main(["analyze", "--data", str(FIXTURES / "study"), "--out", str(out)]) == 0
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert all(len(data) < len(JUNK) for data in files.values())
+    assert {name: _sha256(data) for name, data in files.items()
+            if name != "report.json"} == FILE_SHA256
+    doc = json.loads(files["report.json"])
+    assert _section_digests(doc) == SECTION_SHA256
+    _assert_pinned_barnard(doc["transitions"]["TP1->TP2"]["barnard"])
+    assert files["report.json"] == (study_out / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", list(SUBCOMMAND_SHA256), ids=" ".join)
+def test_subcommand_rerun_over_a_longer_file_matches_pinned_digest(argv, tmp_path, capsys):
+    name, digest = SUBCOMMAND_SHA256[argv]
+    _fill_with_junk(tmp_path, [name])
+    assert cli_main([*argv, "--data", str(FIXTURES / "study"), "--out", str(tmp_path)]) == 0
+    assert _sha256((tmp_path / name).read_bytes()) == digest
+
+
+def test_transitions_rerun_over_a_longer_file_matches_pinned_values(tmp_path, capsys):
+    _fill_with_junk(tmp_path, ["transitions_TP1_TP2.json"])
+    assert cli_main(["transitions", "TP1", "TP2", "--data", str(FIXTURES / "study"),
+                     "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "transitions_TP1_TP2.json").read_text(encoding="utf-8"))
+    _assert_pinned_barnard(doc.pop("barnard"))
+    assert doc == TRANSITIONS_TP1_TP2
 
 
 @pytest.mark.parametrize("argv", list(SUBCOMMAND_SHA256), ids=" ".join)

@@ -1,3 +1,5 @@
+import os
+import stat
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from collabnet import measures, pipeline, report
 from collabnet.measures import BipartiteNetwork
-from collabnet.model import Dataset, ProjectSpec, Subtask
+from collabnet.model import Dataset, ProjectSpec, Subtask, write_text
 from collabnet.report import (
     ReportBundle,
     export_network_dot,
@@ -235,3 +237,40 @@ class TestReportJson:
         bundle = pipeline.run_analysis(study_dataset)
         path = write_report_json(bundle, tmp_path / "report.json")
         assert path.read_text().endswith("\n")
+
+
+class TestWriteText:
+    @pytest.mark.parametrize("old, text", [(b"x" * 100, "caf\u00e9\nline 2\n"),
+                                           (b"x", "caf\u00e9\nline 2\n"),
+                                           (b"old bytes", "")],
+                             ids=["longer", "shorter", "empty"])
+    def test_existing_file_holds_exactly_the_new_bytes(self, tmp_path, old, text):
+        path = tmp_path / "out.txt"
+        path.write_bytes(old)
+        assert write_text(path, text) == path
+        assert path.read_bytes() == text.encode("utf-8")
+
+    def test_line_endings_are_written_as_given(self, tmp_path):
+        path = write_text(tmp_path / "out.txt", "a\nb\r\nc")
+        assert path.read_bytes() == b"a\nb\r\nc"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_gets_the_mode_open_would_give(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference.txt", "w"):
+                pass
+            write_text(tmp_path / "new.txt", "text")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "new.txt").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "reference.txt").stat().st_mode)
+        assert mode == 0o666 & ~umask
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        path.chmod(0o640)
+        write_text(path, "new text")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_text() == "new text"
