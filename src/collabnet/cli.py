@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import statistics
@@ -136,12 +137,12 @@ def cmd_analyze(args) -> int:
         return 1
     thresholds = _thresholds(args)
     options = _stats_options(args)
-    # Every name is fixed before anything is written. Ids are joined with "_",
-    # which they may contain, so two teams can share a DOT name; the kinds have
-    # their own prefixes, and a one-project chart cannot take a two-project name.
-    teams = sorted({(r.project_id, r.team_id) for r in dataset.rosters})
+    # Every DOT name is fixed before anything is written. Ids are joined with
+    # "_", which they may contain, so two teams can share a name; the kinds
+    # have their own prefixes, and a one-project chart cannot take a
+    # two-project name.
     dot_names: dict[str, tuple[str, str]] = {}
-    for key in teams:
+    for key in sorted({(r.project_id, r.team_id) for r in dataset.rosters}):
         name = _file_name("network", ".dot", *key)
         if name in dot_names:
             (p0, t0), (p1, t1) = dot_names[name], key
@@ -149,26 +150,26 @@ def cmd_analyze(args) -> int:
                   f" would both be written to {name}", file=sys.stderr)
             return 1
         dot_names[name] = key
-    pids = sorted({pid for pid, _ in teams})
-    charts = [(pid,) for pid in pids] + ([tuple(pids)] if len(pids) == 2 else [])
-    svg_names = {_file_name("quadrant", ".svg", *ids): ids for ids in charts}
     bundle = pipeline.run_analysis(dataset, thresholds, options,
                                    input_digests=_input_digests(args.data))
     out = _out_dir(args)
 
     report.write_report_json(bundle, out / "report.json")
-    team_profiles: dict[tuple[str, str], list] = {}
-    for pid, profiles in bundle.profiles.items():
-        for p in profiles:
-            team_profiles.setdefault((pid, p.team_id), []).append(p)
     nets = pipeline.team_networks(dataset)
-    for name, key in dot_names.items():
-        dot = report.export_network_dot(nets[key], team_profiles[key], dataset.projects[key[0]])
-        write_text(out / name, dot)
-    for name, ids in svg_names.items():
-        svg = report.export_quadrant_svg([p for pid in ids for p in bundle.profiles[pid]],
-                                         thresholds)
-        write_text(out / name, svg)
+    for pid, profiles in bundle.profiles.items():
+        subtasks = report.dot_subtasks(dataset.projects[pid])
+        # profiles are ordered by team, so each team's run is contiguous
+        for team_id, team in itertools.groupby(profiles, key=lambda p: p.team_id):
+            dot = report.export_network_dot(nets[(pid, team_id)], list(team), subtasks)
+            write_text(out / _file_name("network", ".dot", pid, team_id), dot)
+        if profiles:
+            write_text(out / _file_name("quadrant", ".svg", pid),
+                       report.export_quadrant_svg(profiles, thresholds))
+    if len(bundle.profiles) == 2 and all(bundle.profiles.values()):
+        write_text(out / _file_name("quadrant", ".svg", *bundle.profiles),
+                   report.export_quadrant_svg(
+                       [p for profiles in bundle.profiles.values() for p in profiles],
+                       thresholds))
 
     _print_role_table(bundle.profiles)
     print(f"\nreport written to {out / 'report.json'}")

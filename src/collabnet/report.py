@@ -36,25 +36,47 @@ def _dot_quote(first: str, *more: str) -> str:
     return f'"{text}"'
 
 
+@dataclass(frozen=True)
+class DotSubtasks:
+    """One project's subtask nodes as DOT text, shared by every team's drawing.
+
+    `quoted` maps each subtask id to its quoted DOT id, and `lines` to its
+    node line in the rank=sink block (a box labeled with type and points).
+    """
+
+    project_id: str
+    quoted: dict[str, str]
+    lines: dict[str, str]
+
+
+def dot_subtasks(spec: ProjectSpec) -> DotSubtasks:
+    """Render the spec's subtask nodes once, for every team of the project."""
+    quoted, lines = {}, {}
+    for st in spec.subtasks:
+        sid = st.subtask_id
+        quoted[sid] = q = _dot_quote(sid)
+        lines[sid] = f"    {q} [shape=box, label={_dot_quote(sid, f'{st.task_type} ({st.points})')}];"
+    return DotSubtasks(spec.project_id, quoted, lines)
+
+
 def export_network_dot(net: BipartiteNetwork, profiles: Sequence[ContributionProfile],
-                       spec: ProjectSpec) -> str:
+                       subtasks: DotSubtasks) -> str:
     """Render one team's bipartite network as a DOT graph.
 
     Students sit on the left rank (ellipses, leaders double-ringed), subtasks
-    on the right (boxes annotated with type and points). The project spec
-    supplies the subtask annotations.
+    on the right (boxes annotated with type and points). `subtasks` is
+    `dot_subtasks` of the network's project.
     """
-    if spec.project_id != net.project_id:
+    if subtasks.project_id != net.project_id:
         raise ValueError(
-            f"spec project {spec.project_id!r} does not match network {net.project_id!r}"
+            f"spec project {subtasks.project_id!r} does not match network {net.project_id!r}"
         )
     by_student = {p.student_id: p for p in profiles}
     missing = [s for s in net.student_nodes if s not in by_student]
     if missing:
         raise ValueError(f"profiles missing for students {missing}")
 
-    block, subtask_ids = _subtask_nodes(spec, net.subtask_nodes)
-    quoted = dict(zip(net.subtask_nodes, subtask_ids))
+    quoted = {}
     lines = [f"graph {_dot_quote(f'collab_{net.project_id}_{net.team_id}')} {{"]
     lines.append("  rankdir=LR;")
     lines.append('  node [fontsize=10, fontname="Helvetica"];')
@@ -69,41 +91,14 @@ def export_network_dot(net: BipartiteNetwork, profiles: Sequence[ContributionPro
             attrs += ['fillcolor="#e8e8e8"', f"label={q}"]
         lines.append(f"    {q} [{', '.join(attrs)}];")
     lines.append("  }")
-    lines.append(block)
+    lines.append("  { rank=sink;")
+    lines += (subtasks.lines[sid] for sid in net.subtask_nodes)
+    lines.append("  }")
     for student, sid in sorted(net.edges):
         lines.append(f"  {quoted.get(student) or _dot_quote(student)}"
-                     f" -- {quoted.get(sid) or _dot_quote(sid)};")
+                     f" -- {subtasks.quoted.get(sid) or _dot_quote(sid)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# (spec, subtask nodes, rank=sink block, quoted node ids) of the last call
-_last_subtask_nodes: tuple = (None, (), "", ())
-
-
-def _subtask_nodes(spec: ProjectSpec, subtask_nodes: tuple[str, ...],
-                   ) -> tuple[str, tuple[str, ...]]:
-    """The rank=sink block of a network's subtask nodes, and their quoted ids.
-
-    Both depend only on the spec and the nodes, which every team of a
-    project shares, so the last result is reused while the spec is the same
-    object and the nodes are equal. The spec is compared by identity: by
-    value it would cost as much as rendering the block.
-    """
-    global _last_subtask_nodes
-    last_spec, last_nodes, block, quoted = _last_subtask_nodes
-    if last_spec is spec and last_nodes == subtask_nodes:
-        return block, quoted
-    quoted = tuple(map(_dot_quote, subtask_nodes))
-    lines = ["  { rank=sink;"]
-    for sid, q in zip(subtask_nodes, quoted):
-        st = spec.subtask(sid)
-        lines.append(f"    {q} [shape=box,"
-                     f" label={_dot_quote(sid, f'{st.task_type} ({st.points})')}];")
-    lines.append("  }")
-    block = "\n".join(lines)
-    _last_subtask_nodes = (spec, subtask_nodes, block, quoted)
-    return block, quoted
 
 
 def _x(q: float) -> str:

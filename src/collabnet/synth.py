@@ -179,22 +179,21 @@ def load_cohort_spec(path) -> PlantedCohortSpec:
 
 @lru_cache(maxsize=64)
 def _histogram_entropies(caps: tuple[tuple[str, int], ...]) -> tuple[tuple[tuple[int, ...], int, float], ...]:
-    """All feasible per-type count vectors with their normalized entropy."""
-    limits = [c for _, c in caps]
+    """All feasible per-type count vectors, in sorted type order, with the
+    heterogeneity `measures.heterogeneity` gives them under these capacities
+    (in the spec's order, which the measure's float sums follow)."""
+    capacities = dict(caps)
+    types = sorted(capacities)
     combos = 1
-    for c in limits:
+    for c in capacities.values():
         combos *= c + 1
     if combos > _MAX_HISTOGRAM_CANDIDATES:
-        raise ValueError(f"type capacities {dict(caps)} too large to enumerate")
+        raise ValueError(f"type capacities {capacities} too large to enumerate")
     out = []
-    for counts in itertools.product(*(range(c + 1) for c in limits)):
+    for counts in itertools.product(*(range(capacities[t] + 1) for t in types)):
         n = sum(counts)
-        if n <= 1:
-            h = 0.0
-        else:
-            q = measures._max_entropy(n, caps)
-            h = measures._entropy(counts) / q if q > 0 else 0.0
-        out.append((counts, n, h))
+        hist = measures.TypeHistogram("", dict(zip(types, counts)), n)
+        out.append((counts, n, measures.heterogeneity(hist, capacities)))
     return tuple(out)
 
 
@@ -208,12 +207,12 @@ def plant_contribution(spec: ProjectSpec, quantity_band: tuple[float, float],
     q_lo, q_hi = quantity_band
     h_lo, h_hi = heterogeneity_band
     types = sorted(spec.type_capacities)
-    caps_key = tuple((t, spec.type_capacities[t]) for t in types)
     total_weight = spec.total_weight
     eps = 1e-9
 
     candidates = [
-        (counts, n, h) for counts, n, h in _histogram_entropies(caps_key)
+        (counts, n, h)
+        for counts, n, h in _histogram_entropies(tuple(spec.type_capacities.items()))
         if h_lo - eps <= h <= h_hi + eps
     ]
     if not candidates:

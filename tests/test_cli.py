@@ -130,6 +130,21 @@ class TestAnalyze:
         assert "TP3/quantity" not in doc["mann_whitney"]
         assert list(doc["transitions"]) == ["TP1->TP2", "TP2->TP3"]
         assert "barnard" not in doc["transitions"]["TP2->TP3"]
+        # no chart for TP3, and no combined chart with three projects
+        assert sorted(p.name for p in out.glob("quadrant_*.svg")) == [
+            "quadrant_TP1.svg", "quadrant_TP2.svg"]
+        assert len(list(out.glob("network_*.dot"))) == 13
+
+    def test_tails_two_applies_to_every_mann_whitney_test(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, stderr = run(capsys, "analyze", "--data", STUDY, "--tails", "two",
+                              "--out", out)
+        assert code == 0, stderr
+        mwu = json.loads((out / "report.json").read_text())["mann_whitney"]
+        assert len(mwu) == 4
+        for entry in mwu.values():
+            assert entry["tails"] == "two"
+            assert entry["p"] == entry["p_two_sided"]
 
     def test_directory_at_an_output_name_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -216,6 +231,25 @@ class TestTransitions:
         doc = json.loads((out / "transitions_TP1_TP2.json").read_text())
         assert doc["contingency"] == {"a": 8, "b": 1, "c": 5, "d": 6}
         assert doc["barnard"]["p_two_sided"] == pytest.approx(0.0509, abs=1e-3)
+
+    def test_tails_one_applies_to_barnard(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, stderr = run(capsys, "transitions", "--data", STUDY, "TP1", "TP2",
+                              "--tails", "one", "--out", out)
+        assert code == 0, stderr
+        barnard = json.loads((out / "transitions_TP1_TP2.json").read_text())["barnard"]
+        assert barnard["tails"] == "one"
+        assert barnard["p"] == barnard["p_one_sided"]
+
+    def test_reversed_pair_lists_joiners(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, stderr = run(capsys, "transitions", "--data", STUDY,
+                                   "TP2", "TP1", "--out", out)
+        assert code == 0, stderr
+        assert "  joiners (only in TP1): S6" in stdout.splitlines()
+        doc = json.loads((out / "transitions_TP2_TP1.json").read_text())
+        assert doc["joiners"] == ["S6"]
+        assert doc["dropouts"] == []
 
     def test_unknown_project_exits_1(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "transitions", "--data", STUDY,

@@ -1,4 +1,5 @@
 import dataclasses
+import shutil
 
 import pytest
 
@@ -247,6 +248,15 @@ class TestValidation:
         kinds = {v.kind for v in validate_dataset(ds)}
         assert model.UNKNOWN_TEAM in kinds
         assert model.UNKNOWN_PROJECT in kinds
+
+    def test_team_of_a_project_without_subtasks(self, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(FIXTURES / "study", data)
+        with open(data / "teams.csv", "a", encoding="utf-8") as fh:
+            fh.write("TP9,Team_X,S99,0\n")
+        violations = validate_dataset(load_dataset(data))
+        assert [(v.kind, v.message) for v in violations] == [
+            (model.UNKNOWN_PROJECT, "team 'Team_X' references unknown project 'TP9'")]
 
     def test_student_in_multiple_teams(self):
         spec = make_spec()

@@ -10,6 +10,7 @@ from collabnet.measures import BipartiteNetwork
 from collabnet.model import Dataset, ProjectSpec, Subtask, write_text
 from collabnet.report import (
     ReportBundle,
+    dot_subtasks,
     export_network_dot,
     export_quadrant_svg,
     report_to_json,
@@ -21,7 +22,7 @@ from conftest import make_roster, make_spec, parse_dot, roster
 
 
 def reference_dot(net, profiles, spec):
-    """The DOT text as rendered line by line, with no block reuse."""
+    """The DOT text rendered line by line from the spec, with no shared value."""
     q = report._dot_quote
     leaders = {p.student_id for p in profiles if p.is_assigned_leader}
     lines = [f"graph {q(f'collab_{net.project_id}_{net.team_id}')} {{", "  rankdir=LR;",
@@ -54,7 +55,7 @@ def team3_inputs(study_dataset, study_profiles, project="TP1"):
 class TestDotExport:
     def test_team3_structure(self, study_dataset, study_profiles):
         net, profiles, spec = team3_inputs(study_dataset, study_profiles)
-        dot = export_network_dot(net, profiles, spec)
+        dot = export_network_dot(net, profiles, dot_subtasks(spec))
         nodes, edges, ranks = parse_dot(dot)
         students = [n for n in nodes if n.startswith("S")]
         subtasks = [n for n in nodes if n.startswith("TP1-")]
@@ -75,15 +76,15 @@ class TestDotExport:
             ContributionProfile(s, "P1", "T1", 0.0, 0.0, s == "S1", Role.FREE_RIDER)
             for s in ("S1", "S2", "S3")
         ]
-        dot = export_network_dot(net, profiles, spec)
+        dot = export_network_dot(net, profiles, dot_subtasks(spec))
         nodes, edges, _ = parse_dot(dot)
         assert len(nodes) == 9
         assert edges == []
 
     def test_deterministic(self, study_dataset, study_profiles):
         net, profiles, spec = team3_inputs(study_dataset, study_profiles)
-        assert export_network_dot(net, profiles, spec) == \
-            export_network_dot(net, profiles, spec)
+        assert export_network_dot(net, profiles, dot_subtasks(spec)) == \
+            export_network_dot(net, profiles, dot_subtasks(spec))
 
     @given(st.lists(st.text(), min_size=1, max_size=3))
     def test_quote_escapes_each_line_then_joins(self, lines):
@@ -99,27 +100,34 @@ class TestDotExport:
             Subtask(st.subtask_id, st.project_id, st.task_type, 1) for st in spec.subtasks))
         assert twin == spec and twin is not spec and relabeled != spec
         for s in (spec, twin, relabeled, spec):
-            assert export_network_dot(net, profiles, s) == reference_dot(net, profiles, s)
+            assert export_network_dot(net, profiles, dot_subtasks(s)) == \
+                reference_dot(net, profiles, s)
 
     def test_subtask_block_for_nodes_other_than_the_spec(self, study_dataset, study_profiles):
         net, profiles, spec = team3_inputs(study_dataset, study_profiles)
         expected = reference_dot(net, profiles, spec)
-        assert export_network_dot(net, profiles, spec) == expected
+        subtasks = dot_subtasks(spec)  # one value for all three drawings
+        assert export_network_dot(net, profiles, subtasks) == expected
         # a user-built network: fewer subtask nodes than the spec, in
         # another order, and an edge to a node outside them
         nodes = tuple(reversed(net.subtask_nodes[:5]))
         edges = {(s, j) for s, j in net.edges if j in nodes} | {("S_x", "TP1-A077")}
         partial = BipartiteNetwork(net.team_id, net.project_id, net.student_nodes,
                                    nodes, frozenset(edges))
-        dot = export_network_dot(partial, profiles, spec)
+        dot = export_network_dot(partial, profiles, subtasks)
         assert dot == reference_dot(partial, profiles, spec)
         assert dot.count("shape=box") == 5
-        assert export_network_dot(net, profiles, spec) == expected
+        assert export_network_dot(net, profiles, subtasks) == expected
+
+    def test_other_projects_subtasks_rejected(self, study_dataset, study_profiles):
+        net, profiles, _ = team3_inputs(study_dataset, study_profiles)
+        with pytest.raises(ValueError, match="spec project 'TP2' does not match network 'TP1'"):
+            export_network_dot(net, profiles, dot_subtasks(study_dataset.projects["TP2"]))
 
     def test_missing_profile_rejected(self, study_dataset, study_profiles):
         net, profiles, spec = team3_inputs(study_dataset, study_profiles)
         with pytest.raises(ValueError, match="missing"):
-            export_network_dot(net, profiles[:-1], spec)
+            export_network_dot(net, profiles[:-1], dot_subtasks(spec))
 
 
 def svg_points(svg):
