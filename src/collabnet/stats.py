@@ -3,9 +3,10 @@
 Both tests are implemented from first principles so that every reported
 number is auditable: the Mann-Whitney exact method counts group
 assignments with one subset-sum recurrence on packed Python ints, exact
-at any size, and Barnard's test maximizes the log-space rejection-region
-probability over a dense nuisance-parameter grid with a local
-golden-section refinement.
+at any size, and Barnard's test holds its rejection region as one vector
+of hypergeometric masses per tail and maximizes the region probability,
+the binomial pmf dotted with those masses, over a dense nuisance-parameter
+grid with a local golden-section refinement and the two limits pi -> 0, 1.
 
 numpy serves only Barnard's test and is imported inside the functions that
 use it, so importing this module, or collabnet, does not load it, and
@@ -287,7 +288,10 @@ def wald_pooled_statistic(table: ContingencyTable2x2) -> float:
 
 @dataclass(frozen=True)
 class BarnardResult:
-    """Barnard outcome: statistic, maximized p, and the maximizing nuisance."""
+    """Barnard outcome: statistic, maximized p, and the maximizing nuisance.
+
+    nuisance_argmax 0.0 or 1.0 means the supremum is the limit pi -> 0 or 1.
+    """
 
     t: float
     p: float
@@ -319,19 +323,24 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(x + 1) for x in range(n + 1)])
 
 
-def _region_log_weights(a: int, c: int, m1: int, m2: int) -> np.ndarray:
-    """log sum of C(m1,x1)*C(m2,x2) over each tail's rejection region, by s = x1+x2.
+def _region_masses(a: int, c: int, m1: int, m2: int, lf: np.ndarray,
+                   log_comb: np.ndarray) -> np.ndarray:
+    """Sum of C(m1,x1)*C(m2,x2)/C(N,s) over each tail's rejection region, by s = x1+x2.
 
-    Row 0 is the one-sided region of the observed table (a, c), row 1 the
-    two-sided one. On the diagonal s, with D = x1*N - s*m1, the pooled score
-    is T = D * sqrt(N / (m1*m2*s*(N-s))), so |T| >= |t_obs| holds exactly when
-    D**2 * s_o*(N-s_o) >= D_o**2 * s*(N-s): the two-sided region is
-    D >= far_s or D <= -far_s, with far_s the least such D >= 0, and the
-    one-sided region keeps the side of sign(D_o). The bounds are Python ints,
-    so no tolerance decides a tie. The cells with s in {0, N} score 0 and
-    enter only when t_obs = 0. Diagonals are filled _GRID_BLOCK cells at a
-    time, each block as wide as its widest diagonal, and every diagonal is
-    summed in ascending x1, so memory stays linear in N.
+    Each h_s is a hypergeometric mass in [0, 1] (Vandermonde's identity) and
+    each term is <= 1, so terms lost to underflow move p by at most about
+    N*1e-308; lf is log k! and log_comb log C(N, s). Row 0 is the one-sided
+    region of the observed table (a, c), row 1 the two-sided one. With
+    D = x1*N - s*m1 on the diagonal s, the pooled score is
+    T = D * sqrt(N / (m1*m2*s*(N-s))), so |T| >= |t_obs| holds exactly when
+    D**2 * s_o*(N-s_o) >= D_o**2 * s*(N-s):
+    the two-sided region is D >= far_s or D <= -far_s, with far_s the least
+    such D >= 0, and the one-sided region keeps the side of sign(D_o). The
+    bounds are Python ints, so no tolerance decides a tie. The cells with s
+    in {0, N} score 0 and enter only when t_obs = 0. Diagonals are filled
+    _GRID_BLOCK cells at a time, each block as wide as its widest diagonal,
+    and every diagonal is summed in ascending x1, so memory stays linear in
+    N and the masses do not depend on the block size.
     """
     import numpy as np
 
@@ -342,7 +351,6 @@ def _region_log_weights(a: int, c: int, m1: int, m2: int) -> np.ndarray:
     far = np.array([0 if d_o == 0 else 1 if s in (0, n)
                     else math.isqrt((d_o * d_o * s * (n - s) - 1) // (s_o * (n - s_o))) + 1
                     for s in range(n + 1)])
-    lf = _log_factorials(n)
     ss = np.arange(n + 1)
     first = np.maximum(ss - m2, 0)  # x1 runs over first..last on diagonal s
     last = np.minimum(ss, m1)
@@ -355,57 +363,40 @@ def _region_log_weights(a: int, c: int, m1: int, m2: int) -> np.ndarray:
         inside = x1 <= end
         x1 = np.minimum(x1, end)
         x2 = s - x1
-        log_terms = (lf[m1] - lf[x1] - lf[m1 - x1]) + (lf[m2] - lf[x2] - lf[m2 - x2])
+        terms = np.exp((lf[m1] - lf[x1] - lf[m1 - x1]) + (lf[m2] - lf[x2] - lf[m2 - x2])
+                       - log_comb[s])
         dist = x1 * n - s * m1
         upper = inside & (dist >= far[block, None])
         lower = inside & (dist <= -far[block, None])
         for row, hit in enumerate((upper if d_o >= 0 else lower, upper | lower)):
-            masked = np.where(hit, log_terms, -np.inf)
-            peak = masked.max(axis=1)
-            terms = np.exp(masked - np.where(peak > -np.inf, peak, 0.0)[:, None])
-            with np.errstate(divide="ignore"):
-                out[row, block] = peak + np.log(np.cumsum(terms, axis=1)[:, -1])
+            out[row, block] = np.cumsum(np.where(hit, terms, 0.0), axis=1)[:, -1]
     return out
 
 
-def _region_probability(log_weights: np.ndarray, total: int, pis: np.ndarray) -> np.ndarray:
-    """P(region | pi) = sum_s exp(logW_s + s log pi + (total-s) log(1-pi)); terms <= 1."""
-    import numpy as np
+def _binomial_pmf(pis, log_comb: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Binomial(N, pi) pmf over s = 0..N, one row per pi (a float or an array).
 
-    ss = np.nonzero(np.isfinite(log_weights))[0]
-    log_q = np.log1p(-pis)  # s*log(pi) + (total-s)*log_q, as one array built in place
-    terms = np.multiply.outer(np.log(pis) - log_q, ss)
-    terms += log_weights[ss]
-    terms += (total * log_q)[:, None]
-    return np.exp(terms, out=terms).sum(axis=1)
-
-
-def _grid_probabilities(log_weights: np.ndarray, total: int, pis: np.ndarray) -> np.ndarray:
-    """Region probabilities over the grid pis for each row of log_weights, in one pass.
-
-    Each W_s / C(total, s) is a hypergeometric mass <= 1 (Vandermonde's
-    identity), so P(region | pi) is the binomial pmf at pi dotted with those
-    masses. The pmf is built in log space for a block of grid points at a
-    time and reduced against every region with one np.dot, so memory stays
-    at _GRID_BLOCK floats whatever the grid size and total.
+    Dotted with a tail's masses it is P(region | pi), on the grid and at single points.
     """
     import numpy as np
 
-    ss = np.arange(total + 1)
-    lf = _log_factorials(total)
-    log_comb = lf[total] - lf - lf[::-1]
-    masses = np.exp(log_weights - log_comb)
+    log_q = np.log1p(-pis)
+    pmf = np.multiply.outer(np.log(pis) - log_q, np.arange(log_comb.size), out=out)
+    pmf += log_comb
+    pmf += (log_q * (log_comb.size - 1))[..., None]
+    return np.exp(pmf, out=pmf)
+
+
+def _nuisance_grid(masses: np.ndarray, log_comb: np.ndarray, pis: np.ndarray) -> np.ndarray:
+    """P(region | pi) on the grid pis per row of masses, in _GRID_BLOCK floats of pmf."""
+    import numpy as np
+
     out = np.empty((len(masses), pis.size))
-    rows = max(1, _GRID_BLOCK // (total + 1))
-    buf = np.empty((min(rows, pis.size), total + 1))
+    rows = max(1, _GRID_BLOCK // log_comb.size)
+    buf = np.empty((min(rows, pis.size), log_comb.size))
     for lo in range(0, pis.size, rows):
         block = pis[lo:lo + rows]
-        pmf = buf[:block.size]
-        log_q = np.log1p(-block)
-        np.multiply.outer(np.log(block) - log_q, ss, out=pmf)
-        pmf += log_comb
-        pmf += (total * log_q)[:, None]
-        np.exp(pmf, out=pmf)
+        pmf = _binomial_pmf(block, log_comb, out=buf[:block.size])
         for mass, row in zip(masses, out):
             np.dot(pmf, mass, out=row[lo:lo + block.size])
     return out
@@ -429,29 +420,30 @@ def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]
     return xm, f(xm)
 
 
-def _max_region_probability(log_weights: np.ndarray, total: int, pis: np.ndarray,
-                            probs: np.ndarray, step: float) -> tuple[float, float]:
-    """Pick the grid maximum of probs, then refine it on the log-weight path.
+def _supremum(mass: np.ndarray, log_comb: np.ndarray, pis: np.ndarray, probs: np.ndarray,
+              step: float) -> tuple[float, float]:
+    """Pick the grid maximum of probs, refine it, and compare it with the limits.
 
     The grid argmax is the lowest point within a relative 1e-12 of the maximum,
     since a two-sided region's mirror peaks at pi and 1-pi tie up to rounding.
-    The grid only chooses the bracket: the reported probabilities all come
-    from _region_probability.
+    The grid only chooses the bracket: the reported probabilities come from
+    single points. The limits P(0+) = h_0 and P(1-) = h_N win, 0.0 first,
+    only when larger than the refined maximum.
     """
     import numpy as np
 
     best = int(np.argmax(probs >= probs.max() * (1.0 - 1e-12)))
 
     def scalar(pi: float) -> float:
-        return float(_region_probability(log_weights, total, np.array([pi]))[0])
+        return float(_binomial_pmf(pi, log_comb) @ mass)
 
     best_pi = float(pis[best])
     best_p = scalar(best_pi)
     lo = max(best_pi - step, step * 1e-6)
     hi = min(best_pi + step, 1.0 - step * 1e-6)
-    refined_pi, refined_p = _golden_max(scalar, lo, hi)
-    if refined_p > best_p:
-        best_pi, best_p = refined_pi, refined_p
+    for pi, p in (_golden_max(scalar, lo, hi), (0.0, float(mass[0])), (1.0, float(mass[-1]))):
+        if p > best_p:
+            best_pi, best_p = pi, p
     return min(best_p, 1.0), best_pi
 
 
@@ -462,13 +454,14 @@ def barnard_test(table: ContingencyTable2x2, *, tails: str = "two",
     For every nuisance value pi on a grid over (0, 1), sums the probability
     of all tables at least as extreme as the observed one (by the pooled
     score statistic, absolute for two-sided, signed for one-sided) under
-    independent Binomial(m1, pi) and Binomial(m2, pi) rows. The p-value is
-    the maximum over the grid, sharpened by one golden-section refinement
-    around the grid argmax.
+    independent Binomial(m1, pi) and Binomial(m2, pi) rows, as the Binomial(N,
+    pi) pmf dotted with the region's hypergeometric masses. The p-value is the
+    grid maximum, refined by a golden-section pass around the grid argmax, or
+    the limit as pi -> 0 or 1 where that is larger (a one-sided t = 0).
 
     grid_resolution is the grid step, in [1e-6, 0.1]; the default 1e-4 places
     9999 interior points, enough for two-digit reproducibility on desk-scale
-    tables. The region is decided exactly in integers and both tails' weights
+    tables. The region is decided exactly in integers and both tails' masses
     and grid are evaluated in fixed-size blocks, so memory grows with neither
     m1 x m2 nor grid x total; the lower bound caps the grid at a
     million points to bound run time. The first call in a process imports
@@ -484,12 +477,15 @@ def barnard_test(table: ContingencyTable2x2, *, tails: str = "two",
     if m1 == 0 or m2 == 0:
         raise ValueError("both row sums must be at least 1")
     t_obs = wald_pooled_statistic(table)
-    log_weights = _region_log_weights(a, c, m1, m2)
+    n = m1 + m2
+    lf = _log_factorials(n)
+    log_comb = lf[n] - lf - lf[::-1]
+    masses = _region_masses(a, c, m1, m2, lf, log_comb)
     pis = np.arange(1, int(round(1.0 / grid_resolution))) * grid_resolution
-    grid = _grid_probabilities(log_weights, m1 + m2, pis)
+    grid = _nuisance_grid(masses, log_comb, pis)
     (p_one, argmax_one), (p_two, argmax_two) = (
-        _max_region_probability(lw, m1 + m2, pis, probs, grid_resolution)
-        for lw, probs in zip(log_weights, grid))
+        _supremum(mass, log_comb, pis, probs, grid_resolution)
+        for mass, probs in zip(masses, grid))
     p, argmax = (p_one, argmax_one) if tails == "one" else (p_two, argmax_two)
     return BarnardResult(
         t=t_obs,

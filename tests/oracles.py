@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from fractions import Fraction
 from typing import Mapping
 
 
@@ -63,38 +65,105 @@ def oracle_exact_u_distribution(n1: int, n2: int, cap: int = 21) -> dict[int, in
     return counts
 
 
+def oracle_barnard_region(cells: tuple[int, int, int, int], tails: str) -> list[tuple[int, int]]:
+    """Every table (x1, x2) with the margins of cells that is at least as extreme.
+
+    Each table is decided on its own, in integers: with D = x1*m2 - x2*m1 and
+    s = x1 + x2, the pooled score satisfies |T| >= |t_obs| exactly when
+    D**2 * s_o*(N - s_o) >= D_o**2 * s*(N - s); s in {0, N} scores 0. The
+    one-sided region keeps the side of sign(D_o).
+    """
+    a, b, c, d = cells
+    m1, m2 = a + b, c + d
+    n, s_o, d_o = m1 + m2, a + c, a * m2 - c * m1
+    region = []
+    for x1 in range(m1 + 1):
+        for x2 in range(m2 + 1):
+            s, dist = x1 + x2, x1 * m2 - x2 * m1
+            if d_o == 0:
+                hit = tails == "two" or dist >= 0
+            else:
+                hit = (0 < s < n and dist ** 2 * s_o * (n - s_o) >= d_o ** 2 * s * (n - s)
+                       and (tails == "two" or dist * d_o > 0))
+            if hit:
+                region.append((x1, x2))
+    return region
+
+
+def oracle_barnard_sup_bounds(cells: tuple[int, int, int, int],
+                              tails: str) -> tuple[Fraction, Fraction]:
+    """Exact (lower, upper) bounds on Barnard's p, the maximum over pi in [0, 1].
+
+    P(region | pi) = sum_s h_s * C(N,s) * pi**s * (1-pi)**(N-s) is a
+    polynomial in Bernstein form whose coefficients are the region's
+    hypergeometric masses h_s = W_s / C(N, s). On an interval its maximum
+    lies between the values at the ends, the first and last coefficients,
+    and the largest coefficient (Cargo and Shisha 1966, J. Res. Nat. Bur.
+    Standards 70B:79-81). The interval with the largest upper bound is split
+    at its midpoint by de Casteljau's rule, in Fractions, until
+    upper - lower <= 1e-12 * upper. Uses nothing from collabnet.stats.
+    """
+    a, b, c, d = cells
+    m1, m2 = a + b, c + d
+    n = m1 + m2
+    weights = [0] * (n + 1)
+    for x1, x2 in oracle_barnard_region(cells, tails):
+        weights[x1 + x2] += math.comb(m1, x1) * math.comb(m2, x2)
+    coeffs = [Fraction(w, math.comb(n, s)) for s, w in enumerate(weights)]
+    lower = max(coeffs[0], coeffs[-1])
+    rel = Fraction(1, 10**12)
+    order = itertools.count(1)  # breaks ties between equal bounds before the lists compare
+    heap = [(-max(coeffs), 0, coeffs)]
+    while -heap[0][0] - lower > rel * -heap[0][0]:
+        _, _, row = heapq.heappop(heap)
+        left, right = [], []
+        while row:
+            left.append(row[0])
+            right.append(row[-1])
+            row = [(x + y) / 2 for x, y in zip(row, row[1:])]
+        lower = max(lower, left[-1])  # the value at the midpoint
+        for half in (left, right[::-1]):
+            heapq.heappush(heap, (-max(half), next(order), half))
+    return lower, -heap[0][0]
+
+
 def oracle_barnard_dense(cells: tuple[int, int, int, int],
                          step: float) -> dict[str, tuple[float, float]]:
-    """Barnard's (p, nuisance argmax) for each tail by the dense per-tail search.
+    """Barnard's (p, nuisance argmax) for each tail by a dense, unblocked search.
 
-    The search barnard_test ran before its nuisance grid was blocked: one
-    grid x (N+1) array per tail through _region_probability, the lowest grid
-    point within a relative 1e-12 of the maximum, then _golden_max around
-    it. Returns {"one": (p, argmax), "two": (p, argmax)}. The region
-    (_region_log_weights) and the evaluator (_region_probability) are the
-    ones barnard_test uses, so this checks only the blocking of the grid.
+    The pmf of the whole grid is dotted with the masses in one block; then
+    the lowest grid point within a relative 1e-12 of the maximum, _golden_max
+    around it, and the limits h_0 (pi -> 0) and h_N (pi -> 1) if either is
+    larger. Returns {"one": (p, argmax), "two": (p, argmax)}. The masses
+    (_region_masses) and the evaluator are the ones barnard_test uses, so
+    this checks only the blocking of the grid.
     """
     import numpy as np
 
-    from collabnet.stats import _golden_max, _region_log_weights, _region_probability
+    from collabnet.stats import _binomial_pmf, _golden_max, _log_factorials, _region_masses
 
     a, b, c, d = cells
     m1, m2 = a + b, c + d
-    total = m1 + m2
+    n = m1 + m2
+    lf = _log_factorials(n)
+    log_comb = lf[n] - lf - lf[::-1]
+    masses = _region_masses(a, c, m1, m2, lf, log_comb)
     pis = np.arange(1, int(round(1.0 / step))) * step
+    pmf = _binomial_pmf(pis, log_comb)
     out = {}
-    for side, log_weights in zip(("one", "two"), _region_log_weights(a, c, m1, m2)):
-        probs = _region_probability(log_weights, total, pis)
+    for side, mass in zip(("one", "two"), masses):
+        probs = pmf @ mass
         best = int(np.argmax(probs >= probs.max() * (1.0 - 1e-12)))
-        best_pi, best_p = float(pis[best]), float(probs[best])
 
         def scalar(pi: float) -> float:
-            return float(_region_probability(log_weights, total, np.array([pi]))[0])
+            return float(_binomial_pmf(pi, log_comb) @ mass)
 
+        best_pi = float(pis[best])
+        best_p = scalar(best_pi)
         lo = max(best_pi - step, step * 1e-6)
         hi = min(best_pi + step, 1.0 - step * 1e-6)
-        refined_pi, refined_p = _golden_max(scalar, lo, hi)
-        if refined_p > best_p:
-            best_pi, best_p = refined_pi, refined_p
+        for pi, p in (_golden_max(scalar, lo, hi), (0.0, mass[0]), (1.0, mass[-1])):
+            if p > best_p:
+                best_pi, best_p = pi, float(p)
         out[side] = (min(best_p, 1.0), best_pi)
     return out

@@ -25,7 +25,20 @@ from collabnet.stats import (
     exact_u_distribution,
     mann_whitney_u,
 )
-from oracles import oracle_barnard_dense, oracle_max_entropy
+from oracles import (
+    oracle_barnard_dense,
+    oracle_barnard_region,
+    oracle_barnard_sup_bounds,
+    oracle_max_entropy,
+)
+
+
+def region_masses(cells):
+    """barnard_test's masses for both tails, and log C(N, s), of a table."""
+    a, b, c, d = cells
+    lf = stats._log_factorials(a + b + c + d)
+    log_comb = lf[-1] - lf - lf[::-1]
+    return stats._region_masses(a, c, a + b, c + d, lf, log_comb), log_comb
 
 
 class TestNetworkInvariants:
@@ -241,49 +254,60 @@ class TestBarnard:
         a, b, c, d = cells
         assume(a + b >= 1 and c + d >= 1)
         res = barnard_test(ContingencyTable2x2(a, b, c, d), grid_resolution=1e-3)
-        from collabnet.stats import _region_log_weights, _region_probability
-        log_weights = _region_log_weights(a, c, a + b, c + d)[1]
+        masses, log_comb = region_masses(cells)
         for pi in (0.1, 0.25, 0.5, 0.75, 0.9):
-            single = float(_region_probability(log_weights, a + b + c + d,
-                                               np.array([pi]))[0])
+            single = float(stats._binomial_pmf(pi, log_comb) @ masses[1])
             assert res.p >= single - 1e-12
 
     @given(tables, st.sampled_from(["one", "two"]))
     @settings(max_examples=60, deadline=None)
     def test_region_probability_matches_cellwise_loop(self, cells, tails):
         # reference: decide every table on its own in integers and sum exact
-        # binomial terms. With D = x1*m2 - x2*m1 and s = x1 + x2, |T| >= |t_obs|
-        # is D**2 * s_o*(N - s_o) >= D_o**2 * s*(N - s); s in {0, N} scores 0.
+        # binomial terms
         a, b, c, d = cells
         assume(a + b >= 1 and c + d >= 1)
-        from collabnet.stats import _region_log_weights, _region_probability
         m1, m2 = a + b, c + d
-        n, s_o, d_o = m1 + m2, a + c, a * m2 - c * m1
-        region = []
-        for x1 in range(m1 + 1):
-            for x2 in range(m2 + 1):
-                s, dist = x1 + x2, x1 * m2 - x2 * m1
-                if d_o == 0:
-                    hit = tails == "two" or dist >= 0
-                else:
-                    hit = (0 < s < n and dist ** 2 * s_o * (n - s_o) >= d_o ** 2 * s * (n - s)
-                           and (tails == "two" or dist * d_o > 0))
-                if hit:
-                    region.append((x1, x2))
-        log_weights = _region_log_weights(a, c, m1, m2)[0 if tails == "one" else 1]
+        n = m1 + m2
+        region = oracle_barnard_region(cells, tails)
+        masses, log_comb = region_masses(cells)
+        mass = masses[0 if tails == "one" else 1]
         weights = [0] * (n + 1)
         for x1, x2 in region:
             weights[x1 + x2] += math.comb(m1, x1) * math.comb(m2, x2)
-        for w, lw in zip(weights, log_weights):
-            assert math.exp(lw) == pytest.approx(w, rel=1e-12, abs=0.0)
-        pis = np.array([0.05, 0.3, 0.5, 0.8])
-        got = _region_probability(log_weights, n, pis)
+        for s, (w, h) in enumerate(zip(weights, mass)):
+            assert h == pytest.approx(w / math.comb(n, s), rel=1e-12, abs=0.0)
+        pis = [0.05, 0.3, 0.5, 0.8]
+        got = stats._binomial_pmf(np.array(pis), log_comb) @ mass
         for pi, p in zip(pis, got):
             expected = 0.0
             for x1, x2 in region:
                 expected += (math.comb(m1, x1) * math.comb(m2, x2)
                              * pi ** (x1 + x2) * (1 - pi) ** (m1 + m2 - x1 - x2))
             assert p == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            single = float(stats._binomial_pmf(pi, log_comb) @ mass)
+            assert single == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    @given(tables)
+    @settings(max_examples=60, deadline=None)
+    def test_masses_are_bounded_and_nested(self, cells):
+        # The one-sided region is a subset of the two-sided one and each
+        # diagonal is summed in the same order, so the nesting is exact. A
+        # full diagonal sums to 1 only up to the rounding of log k!, as in
+        # (0, 1, 0, 1), whose middle diagonal reads 1 + 2**-51.
+        assume(cells[0] + cells[1] >= 1 and cells[2] + cells[3] >= 1)
+        (one, two), _ = region_masses(cells)
+        assert np.all(one >= 0.0)
+        assert np.all(one <= two)
+        assert np.all(two <= 1.0 + 1e-13)
+
+    @given(st.tuples(*[st.integers(0, 10)] * 4))
+    @settings(max_examples=150, deadline=None)
+    def test_p_lies_within_the_exact_supremum_bounds(self, cells):
+        assume(cells[0] + cells[1] >= 1 and cells[2] + cells[3] >= 1)
+        res = barnard_test(ContingencyTable2x2(*cells))
+        for tails, p in (("one", res.p_one_sided), ("two", res.p_two_sided)):
+            lower, upper = oracle_barnard_sup_bounds(cells, tails)
+            assert float(lower) * (1 - 1e-12) <= p <= float(upper) * (1 + 1e-12), tails
 
 
 class TestBarnardGrid:
@@ -313,26 +337,26 @@ class TestBarnardGrid:
     def test_bit_identical_to_dense_search_fixed(self, cells):
         self.assert_matches_dense_search(cells, 1e-4)
 
-    @given(tables, st.sampled_from(["one", "two"]))
+    @given(tables)
     @settings(max_examples=40, deadline=None)
-    def test_block_size_does_not_change_the_grid(self, shape, tails):
+    def test_block_size_does_not_change_the_grid(self, shape):
         # 999 grid points: 7-row blocks leave a partial last block. The same
         # _GRID_BLOCK sizes the region pass, here from a few diagonals per block
         # (partial last block included) to one block for all.
         x1, m1, x2, m2 = shape
-        total = m1 + m2
-        row = 0 if tails == "one" else 1
-        log_weights = stats._region_log_weights(x1, x2, m1, m2)[row]
+        cells = (x1, m1 - x1, x2, m2 - x2)
+        masses, log_comb = region_masses(cells)
         pis = np.arange(1, 1000) * 1e-3
-        dense = stats._region_probability(log_weights, total, pis)
-        dense_best = int(np.argmax(dense >= dense.max() * (1.0 - 1e-12)))
+        grids = []
         for rows in (1, 7, pis.size):
-            with mock.patch.object(stats, "_GRID_BLOCK", rows * (total + 1)):
-                got = stats._grid_probabilities(log_weights[None, :], total, pis)[0]
-                region = stats._region_log_weights(x1, x2, m1, m2)[row]
-            assert np.array_equal(region, log_weights)
-            assert int(np.argmax(got >= got.max() * (1.0 - 1e-12))) == dense_best
-            assert np.max(np.abs(got - dense)) <= 1e-13 * dense.max()
+            with mock.patch.object(stats, "_GRID_BLOCK", rows * (m1 + m2 + 1)):
+                grids.append(stats._nuisance_grid(masses, log_comb, pis))
+                assert np.array_equal(region_masses(cells)[0], masses)
+        for grid in grids[:-1]:
+            for got, want in zip(grid, grids[-1]):
+                assert (int(np.argmax(got >= got.max() * (1.0 - 1e-12)))
+                        == int(np.argmax(want >= want.max() * (1.0 - 1e-12))))
+                assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
 
 
 class TestPlantedRecovery:

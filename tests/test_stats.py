@@ -18,7 +18,7 @@ from collabnet.stats import (
     wald_pooled_statistic,
 )
 
-from oracles import oracle_exact_u_distribution
+from oracles import oracle_barnard_region, oracle_exact_u_distribution
 
 STUDY_TABLE = ContingencyTable2x2(8, 1, 5, 6)
 # regression pin: this implementation's enumeration value for the study table
@@ -279,9 +279,13 @@ class TestBarnard:
         assert res.p_one_sided <= res.p_two_sided + 1e-12
 
     def test_zero_statistic_gives_p_one(self):
-        res = barnard_test(ContingencyTable2x2(5, 5, 5, 5))
-        assert res.t == 0.0
-        assert res.p == 1.0
+        # P = 1 is reached only in the limit pi -> 0 or 1; the one-sided search
+        # alone read 1 - (2 to 10)e-10 on each of these tables
+        for cells in ((5, 5, 5, 5), (2, 4, 3, 6), (6, 0, 2, 0), (2, 2, 8, 8), (5, 0, 3, 0)):
+            res = barnard_test(ContingencyTable2x2(*cells), tails="one")
+            assert res.t == 0.0
+            assert res.p_one_sided == res.p_two_sided == 1.0, cells
+            assert res.nuisance_argmax == 0.0, cells
 
     def test_perfect_split_is_significant(self):
         res = barnard_test(ContingencyTable2x2(10, 0, 0, 10))
@@ -337,10 +341,8 @@ class TestBarnard:
         # {0, N} scores 0 and stays out.
         a, b, c, d = 3, 4, 5, 1
         m1, m2 = a + b, c + d
-        n, s_o, d_o = m1 + m2, a + c, a * m2 - c * m1
-        region = [(x1, x2) for x1 in range(m1 + 1) for x2 in range(m2 + 1)
-                  if 0 < x1 + x2 < n and (x1 * m2 - x2 * m1) ** 2 * s_o * (n - s_o)
-                  >= d_o ** 2 * (x1 + x2) * (n - x1 - x2)]
+        n = m1 + m2
+        region = oracle_barnard_region((a, b, c, d), "two")
         assert (4, 1) in region
         res = barnard_test(ContingencyTable2x2(a, b, c, d))
         pi = res.nuisance_argmax
