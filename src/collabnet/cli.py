@@ -22,7 +22,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from . import __version__, pipeline, report, stats, synth
+from . import __version__, pipeline, report, roles, stats, synth
 from .model import Dataset, load_dataset, validate_dataset, write_dataset, write_text
 # build_contingency, role_transitions and unpaired_students stay for bench/tracing.py
 from .roles import Thresholds, build_contingency, role_transitions, unpaired_students
@@ -43,10 +43,11 @@ def _analysis_options() -> argparse.ArgumentParser:
     common.add_argument("--data", required=True,
                         help="dataset.json file or directory with the three CSVs")
     _add_out_option(common)
-    common.add_argument("--quantity-cut", type=float, default=0.5,
-                        help="quantity classification cut in (0,1), default 0.5")
-    common.add_argument("--heterogeneity-cut", type=float, default=0.5,
-                        help="heterogeneity classification cut in (0,1), default 0.5")
+    cuts = roles.DEFAULT_THRESHOLDS
+    common.add_argument("--quantity-cut", type=float, default=cuts.quantity_cut,
+                        help="quantity classification cut in (0,1), default %(default)s")
+    common.add_argument("--heterogeneity-cut", type=float, default=cuts.heterogeneity_cut,
+                        help="heterogeneity classification cut in (0,1), default %(default)s")
     common.add_argument("--tails", choices=("one", "two"), default=None,
                         help="tail convention (defaults: one-sided Mann-Whitney,"
                              " two-sided Barnard)")

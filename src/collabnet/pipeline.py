@@ -38,7 +38,7 @@ def team_networks(dataset: Dataset) -> dict[tuple[str, str], measures.BipartiteN
 
 
 def project_profiles(dataset: Dataset,
-                     thresholds: Thresholds = Thresholds(),
+                     thresholds: Thresholds = roles.DEFAULT_THRESHOLDS,
                      ) -> dict[str, tuple[ContributionProfile, ...]]:
     """Profile every roster member, grouped by project, ordered by (team, student).
 
@@ -91,7 +91,7 @@ def compare_projects(before, after, options: StatsOptions = StatsOptions(),
     return ProjectComparison(pairs, dropouts, joiners, table, barnard)
 
 
-def run_analysis(dataset: Dataset, thresholds: Thresholds = Thresholds(),
+def run_analysis(dataset: Dataset, thresholds: Thresholds = roles.DEFAULT_THRESHOLDS,
                  options: StatsOptions = StatsOptions(),
                  input_digests: dict[str, str] | None = None) -> ReportBundle:
     """Run the full pipeline: profiles, leader tests, transitions, Barnard.

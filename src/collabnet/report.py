@@ -17,7 +17,8 @@ from typing import Sequence
 
 from .measures import BipartiteNetwork
 from .model import ProjectSpec, write_text
-from .roles import ContingencyTable2x2, ContributionProfile, RoleTransition, Thresholds
+from .roles import (DEFAULT_THRESHOLDS, QUADRANTS, ContingencyTable2x2, ContributionProfile,
+                    RoleTransition, Thresholds)
 from .stats import BarnardResult, MwuResult
 
 SCHEMA_VERSION = 1
@@ -26,6 +27,7 @@ _PROJECT_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b")
 _VIEW = 600
 _MARGIN = 50
 _PLOT = _VIEW - 2 * _MARGIN
+_STAR_RADIUS = 8.0
 
 
 def _dot_quote(first: str, *more: str) -> str:
@@ -109,12 +111,12 @@ def _y(h: float) -> str:
     return f"{_VIEW - _MARGIN - h * _PLOT:.2f}"
 
 
-def _star_points(q: float, h: float, radius: float = 8.0) -> str:
+def _star_points(q: float, h: float) -> str:
     cx = _MARGIN + q * _PLOT
     cy = _VIEW - _MARGIN - h * _PLOT
     pts = []
     for k in range(10):
-        r = radius if k % 2 == 0 else radius * 0.45
+        r = _STAR_RADIUS if k % 2 == 0 else _STAR_RADIUS * 0.45
         angle = -math.pi / 2 + k * math.pi / 5
         pts.append(f"{cx + r * math.cos(angle):.2f},{cy + r * math.sin(angle):.2f}")
     return " ".join(pts)
@@ -132,7 +134,7 @@ def _svg_text(s: str) -> str:
 
 
 def export_quadrant_svg(profiles: Sequence[ContributionProfile],
-                        thresholds: Thresholds = Thresholds()) -> str:
+                        thresholds: Thresholds = DEFAULT_THRESHOLDS) -> str:
     """Render profiles as a quantity-heterogeneity scatter on the unit square.
 
     Dashed lines mark the classification cuts, leaders draw as stars and
@@ -171,16 +173,12 @@ def export_quadrant_svg(profiles: Sequence[ContributionProfile],
                    f' font-size="11">{v:g}</text>')
         out.append(f'  <text x="{_MARGIN - 8}" y="{_y(v)}" text-anchor="end"'
                    f' font-size="11" dominant-baseline="middle">{v:g}</text>')
-    # quadrant labels
-    quadrants = (
-        (0.75, 0.97, "comprehensive contributor"),
-        (0.75, 0.03, "specialized contributor"),
-        (0.25, 0.97, "versatile participant"),
-        (0.25, 0.03, "free rider"),
-    )
-    for qx, qy, name in quadrants:
-        out.append(f'  <text x="{_x(qx)}" y="{_y(qy)}" text-anchor="middle"'
-                   f' font-size="12" fill="#555555">{name}</text>')
+    # quadrant labels, centred on their side of the quantity cut, at the top or bottom edge
+    cut = thresholds.quantity_cut
+    for role, (high_q, high_h) in QUADRANTS.items():
+        qx = (1.0 + cut) / 2 if high_q else cut / 2
+        out.append(f'  <text x="{_x(qx)}" y="{_y(0.97 if high_h else 0.03)}"'
+                   f' text-anchor="middle" font-size="12" fill="#555555">{role.describe()}</text>')
     # legend
     for i, pid in enumerate(project_ids):
         ly = _MARGIN + 16 + 18 * i

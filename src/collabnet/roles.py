@@ -7,8 +7,10 @@ the boundary rule is fixed and documented for reproducibility.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Iterable, Sequence
 
 from . import measures
@@ -43,6 +45,15 @@ class Thresholds:
 
 DEFAULT_THRESHOLDS = Thresholds()
 
+# the framework: each role's quadrant as (high quantity, high heterogeneity)
+QUADRANTS = {
+    Role.COMPREHENSIVE_CONTRIBUTOR: (True, True),
+    Role.SPECIALIZED_CONTRIBUTOR: (True, False),
+    Role.VERSATILE_PARTICIPANT: (False, True),
+    Role.FREE_RIDER: (False, False),
+}
+_ROLE_AT = {sides: role for role, sides in QUADRANTS.items()}
+
 
 def classify(quantity: float, heterogeneity: float,
              thresholds: Thresholds = DEFAULT_THRESHOLDS) -> Role:
@@ -51,15 +62,8 @@ def classify(quantity: float, heterogeneity: float,
         raise ValueError(f"quantity must be in [0, 1], got {quantity}")
     if not (0.0 <= heterogeneity <= 1.0):
         raise ValueError(f"heterogeneity must be in [0, 1], got {heterogeneity}")
-    high_q = quantity >= thresholds.quantity_cut
-    high_h = heterogeneity >= thresholds.heterogeneity_cut
-    if high_q and high_h:
-        return Role.COMPREHENSIVE_CONTRIBUTOR
-    if high_q:
-        return Role.SPECIALIZED_CONTRIBUTOR
-    if high_h:
-        return Role.VERSATILE_PARTICIPANT
-    return Role.FREE_RIDER
+    return _ROLE_AT[quantity >= thresholds.quantity_cut,
+                    heterogeneity >= thresholds.heterogeneity_cut]
 
 
 @dataclass(frozen=True)
@@ -182,14 +186,6 @@ class ContingencyTable2x2:
 
 def build_contingency(transitions: Sequence[RoleTransition]) -> ContingencyTable2x2:
     """Tally transitions into the 2x2 leadership-change / role-change table."""
-    a = b = c = d = 0
-    for t in transitions:
-        if t.leadership_changed and t.role_changed:
-            a += 1
-        elif t.leadership_changed:
-            b += 1
-        elif t.role_changed:
-            c += 1
-        else:
-            d += 1
-    return ContingencyTable2x2(a, b, c, d)
+    counts = Counter((t.leadership_changed, t.role_changed) for t in transitions)
+    # cells a, b, c, d in (leadership changed, role changed) order: TT, TF, FT, FF
+    return ContingencyTable2x2(*(counts[cell] for cell in product((True, False), repeat=2)))

@@ -6,12 +6,12 @@ assignments with one subset-sum recurrence on packed Python ints, exact
 at any size, and Barnard's test holds its rejection region as one vector
 of hypergeometric masses per tail and maximizes the region probability,
 the binomial pmf dotted with those masses, over a dense nuisance-parameter
-grid with a local golden-section refinement and the two limits pi -> 0, 1.
+grid with a local golden-section refinement; t = 0 gives p = 1 unsearched.
 
-numpy serves only Barnard's test and is imported inside the functions that
+numpy serves only that search and is imported inside the functions that
 use it, so importing this module, or collabnet, does not load it, and
-neither do the exact Mann-Whitney method and wald_pooled_statistic; the
-first Barnard call in a process pays for that import.
+neither do the exact Mann-Whitney method, wald_pooled_statistic and a
+Barnard call with t = 0; the first search in a process pays for the import.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 DEFAULT_EXACT_CAP = 220  # a tied 110 + 110 split runs in about 1 s
 DEFAULT_GRID_RESOLUTION = 1e-4
 _GRID_BLOCK = 1 << 17  # floats per block held at once by the region pass and the grid
+_GOLDEN_ITERS = 60
 
 
 def _norm_sf(x: float) -> float:
@@ -290,7 +291,8 @@ def wald_pooled_statistic(table: ContingencyTable2x2) -> float:
 class BarnardResult:
     """Barnard outcome: statistic, maximized p, and the maximizing nuisance.
 
-    nuisance_argmax 0.0 or 1.0 means the supremum is the limit pi -> 0 or 1.
+    nuisance_argmax 0.0 means the supremum is the limit pi -> 0: a table with
+    t = 0, whose p is 1 for both tails.
     """
 
     t: float
@@ -402,12 +404,12 @@ def _nuisance_grid(masses: np.ndarray, log_comb: np.ndarray, pis: np.ndarray) ->
     return out
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
@@ -422,13 +424,13 @@ def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]
 
 def _supremum(mass: np.ndarray, log_comb: np.ndarray, pis: np.ndarray, probs: np.ndarray,
               step: float) -> tuple[float, float]:
-    """Pick the grid maximum of probs, refine it, and compare it with the limits.
+    """Pick the grid maximum of probs and refine it with a golden-section pass.
 
     The grid argmax is the lowest point within a relative 1e-12 of the maximum,
     since a two-sided region's mirror peaks at pi and 1-pi tie up to rounding.
     The grid only chooses the bracket: the reported probabilities come from
-    single points. The limits P(0+) = h_0 and P(1-) = h_N win, 0.0 first,
-    only when larger than the refined maximum.
+    single points. For t != 0 the limits P(0+) = h_0 and P(1-) = h_N are 0,
+    since the cells with s in {0, N} score 0, so no interior point loses to them.
     """
     import numpy as np
 
@@ -441,9 +443,9 @@ def _supremum(mass: np.ndarray, log_comb: np.ndarray, pis: np.ndarray, probs: np
     best_p = scalar(best_pi)
     lo = max(best_pi - step, step * 1e-6)
     hi = min(best_pi + step, 1.0 - step * 1e-6)
-    for pi, p in (_golden_max(scalar, lo, hi), (0.0, float(mass[0])), (1.0, float(mass[-1]))):
-        if p > best_p:
-            best_pi, best_p = pi, p
+    pi, p = _golden_max(scalar, lo, hi)
+    if p > best_p:
+        best_pi, best_p = pi, p
     return min(best_p, 1.0), best_pi
 
 
@@ -456,19 +458,18 @@ def barnard_test(table: ContingencyTable2x2, *, tails: str = "two",
     score statistic, absolute for two-sided, signed for one-sided) under
     independent Binomial(m1, pi) and Binomial(m2, pi) rows, as the Binomial(N,
     pi) pmf dotted with the region's hypergeometric masses. The p-value is the
-    grid maximum, refined by a golden-section pass around the grid argmax, or
-    the limit as pi -> 0 or 1 where that is larger (a one-sided t = 0).
+    grid maximum, refined by a golden-section pass around the grid argmax.
+    A table with t = 0 (a*m2 == c*m1) has p = 1 for both tails, the limit as
+    pi -> 0, and returns it with argmax 0.0 before any search.
 
     grid_resolution is the grid step, in [1e-6, 0.1]; the default 1e-4 places
     9999 interior points, enough for two-digit reproducibility on desk-scale
     tables. The region is decided exactly in integers and both tails' masses
     and grid are evaluated in fixed-size blocks, so memory grows with neither
     m1 x m2 nor grid x total; the lower bound caps the grid at a
-    million points to bound run time. The first call in a process imports
+    million points to bound run time. The first search in a process imports
     numpy, which importing collabnet does not.
     """
-    import numpy as np
-
     _check_tails(tails)
     if not (1e-6 <= grid_resolution <= 0.1):
         raise ValueError(f"grid_resolution must be in [1e-06, 0.1], got {grid_resolution}")
@@ -477,6 +478,13 @@ def barnard_test(table: ContingencyTable2x2, *, tails: str = "two",
     if m1 == 0 or m2 == 0:
         raise ValueError("both row sums must be at least 1")
     t_obs = wald_pooled_statistic(table)
+    if a * m2 == c * m1:
+        # both regions hold the s = 0 cell, whose probability tends to 1 as pi -> 0
+        return BarnardResult(t=t_obs, p=1.0, nuisance_argmax=0.0,
+                             grid_resolution=grid_resolution, tails=tails,
+                             table=(a, b, c, d), p_one_sided=1.0, p_two_sided=1.0)
+    import numpy as np
+
     n = m1 + m2
     lf = _log_factorials(n)
     log_comb = lf[n] - lf - lf[::-1]

@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import measures, pipeline
 from .model import (Dataset, InteractionRecord, ProjectSpec, Subtask, TeamRoster,
                     _read_json)
-from .roles import Role
+from .roles import DEFAULT_THRESHOLDS, QUADRANTS, Role
 
 GENERATOR_ID = "planted-cohort-v1"
 _MAX_HISTOGRAM_CANDIDATES = 2_000_000
@@ -62,28 +62,22 @@ class ProjectTemplate:
         return sum(self.type_counts.values())
 
 
-_QUADRANT = {
-    Role.COMPREHENSIVE_CONTRIBUTOR: (True, True),
-    Role.SPECIALIZED_CONTRIBUTOR: (True, False),
-    Role.VERSATILE_PARTICIPANT: (False, True),
-    Role.FREE_RIDER: (False, False),
-}
 _PLANT_MARGIN = 0.05
 
 
-def _check_band(band: tuple[float, float], high: bool, what: str, role: Role):
+def _check_band(band: tuple[float, float], high: bool, cut: float, what: str, role: Role):
     lo, hi = band
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError(f"{what} band {band} must satisfy 0 <= lo <= hi <= 1")
-    if high and lo < 0.5 + _PLANT_MARGIN:
+    if high and lo < cut + _PLANT_MARGIN:
         raise ValueError(
             f"{what} band {band} for {role.value} must start at or above "
-            f"{0.5 + _PLANT_MARGIN} (margin {_PLANT_MARGIN} from the 0.5 cut)"
+            f"{cut + _PLANT_MARGIN} (margin {_PLANT_MARGIN} from the {cut} cut)"
         )
-    if not high and hi > 0.5 - _PLANT_MARGIN:
+    if not high and hi > cut - _PLANT_MARGIN:
         raise ValueError(
             f"{what} band {band} for {role.value} must end at or below "
-            f"{0.5 - _PLANT_MARGIN} (margin {_PLANT_MARGIN} from the 0.5 cut)"
+            f"{cut - _PLANT_MARGIN} (margin {_PLANT_MARGIN} from the {cut} cut)"
         )
 
 
@@ -99,9 +93,11 @@ class RoleTarget:
     def __post_init__(self):
         object.__setattr__(self, "quantity_band", tuple(self.quantity_band))
         object.__setattr__(self, "heterogeneity_band", tuple(self.heterogeneity_band))
-        high_q, high_h = _QUADRANT[self.role]
-        _check_band(self.quantity_band, high_q, "quantity", self.role)
-        _check_band(self.heterogeneity_band, high_h, "heterogeneity", self.role)
+        high_q, high_h = QUADRANTS[self.role]
+        _check_band(self.quantity_band, high_q, DEFAULT_THRESHOLDS.quantity_cut,
+                    "quantity", self.role)
+        _check_band(self.heterogeneity_band, high_h, DEFAULT_THRESHOLDS.heterogeneity_cut,
+                    "heterogeneity", self.role)
 
 
 @dataclass(frozen=True)

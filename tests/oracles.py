@@ -131,12 +131,12 @@ def oracle_barnard_dense(cells: tuple[int, int, int, int],
                          step: float) -> dict[str, tuple[float, float]]:
     """Barnard's (p, nuisance argmax) for each tail by a dense, unblocked search.
 
-    The pmf of the whole grid is dotted with the masses in one block; then
-    the lowest grid point within a relative 1e-12 of the maximum, _golden_max
-    around it, and the limits h_0 (pi -> 0) and h_N (pi -> 1) if either is
-    larger. Returns {"one": (p, argmax), "two": (p, argmax)}. The masses
-    (_region_masses) and the evaluator are the ones barnard_test uses, so
-    this checks only the blocking of the grid.
+    A table with t = 0 (a*m2 == c*m1) gives (1.0, 0.0) for both tails, with
+    no search. Otherwise the pmf of the whole grid is dotted with the masses
+    in one block; then the lowest grid point within a relative 1e-12 of the
+    maximum, and _golden_max around it. Returns {"one": (p, argmax), "two":
+    (p, argmax)}. The masses (_region_masses) and the evaluator are the ones
+    barnard_test uses, so this checks only the blocking of the grid.
     """
     import numpy as np
 
@@ -144,6 +144,8 @@ def oracle_barnard_dense(cells: tuple[int, int, int, int],
 
     a, b, c, d = cells
     m1, m2 = a + b, c + d
+    if a * m2 == c * m1:
+        return {"one": (1.0, 0.0), "two": (1.0, 0.0)}
     n = m1 + m2
     lf = _log_factorials(n)
     log_comb = lf[n] - lf - lf[::-1]
@@ -162,8 +164,8 @@ def oracle_barnard_dense(cells: tuple[int, int, int, int],
         best_p = scalar(best_pi)
         lo = max(best_pi - step, step * 1e-6)
         hi = min(best_pi + step, 1.0 - step * 1e-6)
-        for pi, p in (_golden_max(scalar, lo, hi), (0.0, mass[0]), (1.0, mass[-1])):
-            if p > best_p:
-                best_pi, best_p = pi, float(p)
+        pi, p = _golden_max(scalar, lo, hi)
+        if p > best_p:
+            best_pi, best_p = pi, p
         out[side] = (min(best_p, 1.0), best_pi)
     return out

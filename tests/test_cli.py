@@ -391,6 +391,14 @@ class TestMisc:
         assert exc.value.code == 2
         assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
+    def test_help_prints_the_default_cuts(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "quantity classification cut in (0,1), default 0.5" in text
+        assert "heterogeneity classification cut in (0,1), default 0.5" in text
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -454,6 +462,12 @@ class TestStartup:
                 " wald_pooled_statistic(ContingencyTable2x2(8, 1, 5, 6));"
                 " print('numpy' in sys.modules)")
         assert fresh_python("-c", code).strip() == "False"
+
+    def test_zero_statistic_barnard_loads_no_numpy(self):
+        code = ("import sys; from collabnet import ContingencyTable2x2, barnard_test;"
+                " r = barnard_test(ContingencyTable2x2(5, 5, 5, 5));"
+                " print(r.p, r.nuisance_argmax, 'numpy' in sys.modules)")
+        assert fresh_python("-c", code).split() == ["1.0", "0.0", "False"]
 
     @pytest.mark.parametrize("argv, code, loads_numpy", [
         (("analyze", "--data", "{solo}"), 0, False),

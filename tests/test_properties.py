@@ -1,5 +1,6 @@
 """Invariant checks over randomized inputs (hypothesis)."""
 
+import itertools
 import math
 import random
 from unittest import mock
@@ -299,6 +300,17 @@ class TestBarnard:
         assert np.all(one >= 0.0)
         assert np.all(one <= two)
         assert np.all(two <= 1.0 + 1e-13)
+
+    def test_every_zero_statistic_table_reports_the_limit(self):
+        checked = 0
+        for a, b, c, d in itertools.product(range(11), repeat=4):
+            if a + b == 0 or c + d == 0 or a * (c + d) != c * (a + b):
+                continue
+            for tails in ("one", "two"):
+                res = barnard_test(ContingencyTable2x2(a, b, c, d), tails=tails)
+                assert (res.p_one_sided, res.p_two_sided, res.nuisance_argmax) == (1.0, 1.0, 0.0)
+            checked += 1
+        assert checked > 400
 
     @given(st.tuples(*[st.integers(0, 10)] * 4))
     @settings(max_examples=150, deadline=None)

@@ -16,7 +16,7 @@ from collabnet.report import (
     report_to_json,
     write_report_json,
 )
-from collabnet.roles import ContributionProfile, Role
+from collabnet.roles import QUADRANTS, ContributionProfile, Role, Thresholds
 
 from conftest import make_roster, make_spec, parse_dot, roster
 
@@ -184,6 +184,21 @@ class TestQuadrantSvg:
     def test_empty_profiles_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             export_quadrant_svg([])
+
+    @pytest.mark.parametrize("cut", [0.2, 0.5, 0.8])
+    def test_labels_sit_on_their_side_of_the_quantity_cut(self, cut):
+        # at 0.2 the low-quantity labels were drawn at x = 175, right of the cut at 150
+        prof = ContributionProfile("S1", "P1", "T1", 0.3, 0.7, False,
+                                   Role.VERSATILE_PARTICIPANT)
+        root = ET.fromstring(export_quadrant_svg([prof], Thresholds(quantity_cut=cut)))
+        labels = {t.text: (float(t.get("x")), float(t.get("y")))
+                  for t in root.iter("{http://www.w3.org/2000/svg}text")}
+        cut_x = 50 + 500 * cut
+        for role, (high_q, high_h) in QUADRANTS.items():
+            x, y = labels[role.describe()]
+            side = (cut_x, 550.0) if high_q else (50.0, cut_x)
+            assert x == pytest.approx(sum(side) / 2, abs=0.01), role
+            assert y == (65.0 if high_h else 535.0), role
 
     def test_markup_in_ids_is_escaped(self):
         prof = ContributionProfile("S<1>&co", "P&Q", "T1", 0.3, 0.7, False,

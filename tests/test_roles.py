@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from collabnet import measures
 from collabnet.roles import (
+    QUADRANTS,
     ContingencyTable2x2,
     ContributionProfile,
     Role,
@@ -53,6 +56,22 @@ class TestClassify:
     def test_custom_thresholds(self):
         cuts = Thresholds(quantity_cut=0.3, heterogeneity_cut=0.7)
         assert classify(0.4, 0.5, cuts) is Role.SPECIALIZED_CONTRIBUTOR
+
+    @pytest.mark.parametrize("q_cut, h_cut", [(0.5, 0.5), (0.3, 0.7), (0.9, 0.1), (0.05, 0.95)])
+    def test_agrees_with_quadrants_at_custom_cuts(self, q_cut, h_cut):
+        # the corners of the unit square, and of the cut intersection, where a
+        # value on a cut counts as high
+        cuts = Thresholds(quantity_cut=q_cut, heterogeneity_cut=h_cut)
+        below_q, below_h = math.nextafter(q_cut, 0.0), math.nextafter(h_cut, 0.0)
+        for role, (high_q, high_h) in QUADRANTS.items():
+            assert classify(1.0 if high_q else 0.0, 1.0 if high_h else 0.0, cuts) is role
+            assert classify(q_cut if high_q else below_q,
+                            h_cut if high_h else below_h, cuts) is role
+
+    def test_quadrants_cover_each_role_once(self):
+        assert list(QUADRANTS) == list(Role)
+        assert sorted(QUADRANTS.values()) == [(False, False), (False, True),
+                                              (True, False), (True, True)]
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

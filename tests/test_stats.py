@@ -279,13 +279,16 @@ class TestBarnard:
         assert res.p_one_sided <= res.p_two_sided + 1e-12
 
     def test_zero_statistic_gives_p_one(self):
-        # P = 1 is reached only in the limit pi -> 0 or 1; the one-sided search
-        # alone read 1 - (2 to 10)e-10 on each of these tables
-        for cells in ((5, 5, 5, 5), (2, 4, 3, 6), (6, 0, 2, 0), (2, 2, 8, 8), (5, 0, 3, 0)):
-            res = barnard_test(ContingencyTable2x2(*cells), tails="one")
-            assert res.t == 0.0
-            assert res.p_one_sided == res.p_two_sided == 1.0, cells
-            assert res.nuisance_argmax == 0.0, cells
+        # P = 1 is reached only in the limit pi -> 0, so a search read the
+        # one-sided p as 1 - (2 to 10)e-10 and the two-sided argmax as
+        # rounding noise in (0, 1e-4], such as 0.0001 for (5, 5, 5, 5)
+        for cells in ((5, 5, 5, 5), (2, 4, 3, 6), (6, 0, 2, 0), (2, 2, 8, 8), (5, 0, 3, 0),
+                      (0, 3, 0, 4), (3, 0, 4, 0)):
+            for tails in ("one", "two"):
+                res = barnard_test(ContingencyTable2x2(*cells), tails=tails)
+                assert res.t == 0.0
+                assert res.p == res.p_one_sided == res.p_two_sided == 1.0, (cells, tails)
+                assert res.nuisance_argmax == 0.0, (cells, tails)
 
     def test_perfect_split_is_significant(self):
         res = barnard_test(ContingencyTable2x2(10, 0, 0, 10))

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from collabnet import measures, pipeline, synth
-from collabnet.roles import Role
+from collabnet.roles import DEFAULT_THRESHOLDS, QUADRANTS, Role, classify
 from collabnet.synth import (
     InfeasibleTargetError,
     PlantedCohortSpec,
@@ -111,12 +111,32 @@ class TestSpecValidation:
         return RoleTarget(**kwargs)
 
     def test_band_must_respect_margin(self):
-        with pytest.raises(ValueError, match="margin"):
+        with pytest.raises(ValueError, match=r"must start at or above 0\.55"
+                                             r" \(margin 0\.05 from the 0\.5 cut\)"):
             self.make_targets(quantity_band=(0.52, 0.9))
-        with pytest.raises(ValueError, match="margin"):
+        with pytest.raises(ValueError, match=r"must end at or below 0\.45"
+                                             r" \(margin 0\.05 from the 0\.5 cut\)"):
             self.make_targets(role=Role.FREE_RIDER,
                               quantity_band=(0.0, 0.48),
                               heterogeneity_band=(0.0, 0.3))
+
+    @pytest.mark.parametrize("role", list(QUADRANTS))
+    def test_bands_on_the_quadrant_sides_plant_the_role(self, role):
+        margin = synth._PLANT_MARGIN
+        cuts = (DEFAULT_THRESHOLDS.quantity_cut, DEFAULT_THRESHOLDS.heterogeneity_cut)
+
+        def band(high, cut):
+            return (cut + margin, 1.0) if high else (0.0, cut - margin)
+
+        bands = [band(high, cut) for high, cut in zip(QUADRANTS[role], cuts)]
+        RoleTarget(role, *bands)  # accepted
+        assert classify(*(sum(b) / 2 for b in bands)) is role
+        for k, measure in enumerate(("quantity", "heterogeneity")):
+            moved = list(bands)
+            moved[k] = band(not QUADRANTS[role][k], cuts[k])
+            with pytest.raises(ValueError, match=f"{measure} band .* for {role.value} .*"
+                                                 rf"margin {margin} from the {cuts[k]} cut"):
+                RoleTarget(role, *moved)
 
     def test_band_ordering_checked(self):
         with pytest.raises(ValueError, match="lo <= hi"):
