@@ -1,12 +1,14 @@
 """Small-sample hypothesis tests: Mann-Whitney U and Barnard's exact test.
 
 Both tests are implemented from first principles so that every reported
-number is auditable: the Mann-Whitney exact method counts group
-assignments with one subset-sum recurrence on packed Python ints, exact
-at any size, and Barnard's test holds its rejection region as one vector
-of hypergeometric masses per tail and maximizes the region probability,
-the binomial pmf dotted with those masses, over a dense nuisance-parameter
-grid with a local golden-section refinement; t = 0 gives p = 1 unsearched.
+number is auditable. Mann-Whitney ranks the pooled sample once, in doubled
+integer midranks, which give U, the normal method's tie correction and the
+exact method's counts; the exact method counts group assignments with one
+subset-sum recurrence on packed Python ints, exact at any size. Barnard's
+test holds its rejection region as one vector of hypergeometric masses per
+tail and maximizes the region probability, the binomial pmf dotted with
+those masses, over a dense nuisance-parameter grid with a local
+golden-section refinement; t = 0 gives p = 1 unsearched.
 
 numpy serves only that search and is imported inside the functions that
 use it, so importing this module, or collabnet, does not load it, and
@@ -16,6 +18,7 @@ Barnard call with t = 0; the first search in a process pays for the import.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -36,35 +39,24 @@ def _norm_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def _midranks(values: Sequence[float]) -> list[float]:
-    """Fractional ranks, 1-based; tied values share the mean of their ranks."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
+def _doubled_midranks(values: Sequence[float]) -> tuple[list[int], int]:
+    """Twice the 1-based midranks, as ints, and the tie term sum(t**3 - t).
 
-
-def _tie_corrected_sd(ranks: Sequence[float], n1: int, n2: int) -> float:
-    """Standard deviation of U under the null, from the pooled midranks.
-
-    Tied values share one midrank and distinct values get distinct ones, so
-    the tie sizes are the counts of equal midranks.
+    A group of t equal values after `below` smaller ones shares the midrank
+    below + (t + 1) / 2, so its doubled midrank 2*below + t + 1 is an integer
+    with or without ties.
     """
-    n = n1 + n2
-    sizes: dict[float, int] = {}
-    for r in ranks:
-        sizes[r] = sizes.get(r, 0) + 1
-    tie_term = sum(t**3 - t for t in sizes.values())
-    var = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
-    return math.sqrt(var) if var > 0 else 0.0
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks2 = [0] * len(values)
+    tie_term = below = 0
+    for _, group in itertools.groupby(order, key=values.__getitem__):
+        group = list(group)
+        t = len(group)
+        for i in group:
+            ranks2[i] = 2 * below + t + 1
+        tie_term += t**3 - t
+        below += t
+    return ranks2, tie_term
 
 
 def _subset_sum_counts(values: Sequence[int], k: int) -> dict[int, int]:
@@ -108,22 +100,6 @@ def exact_u_distribution(n1: int, n2: int) -> dict[int, int]:
         raise ValueError("both group sizes must be at least 1")
     base = n1 * (n1 + 1) // 2
     return {t - base: c for t, c in _subset_sum_counts(range(1, n1 + n2 + 1), n1).items()}
-
-
-def _exact_tail_counts(u_a: float, n1: int, n2: int,
-                       ranks: Sequence[float]) -> tuple[int, int]:
-    """How many of the C(n1+n2, n1) assignments give U* <= u_a and U* >= u_a.
-
-    Doubled midranks are integers even with ties, and 2*U_a is base minus
-    their sum over the first n1 of the pooled ranks (sample a).
-    """
-    doubled = [int(round(2 * r)) for r in ranks]
-    base = 2 * n1 * n2 + n1 * (n1 + 1)
-    counts = _subset_sum_counts(doubled, n1)
-    du = int(round(2 * u_a))
-    lower = sum(c for t, c in counts.items() if base - t <= du)
-    upper = sum(c for t, c in counts.items() if base - t >= du)
-    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -214,8 +190,10 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], *,
         a pooled size of DEFAULT_EXACT_CAP (220), where one tied, balanced
         call takes about a second
 
-    U_a counts the (a, b) pairs with a < b, ties half, from one midranking of
-    the pooled sample. The effect size r is |z| / sqrt(n1 + n2) in every mode.
+    U_a counts the (a, b) pairs with a < b, ties half. One ranking of the
+    pooled sample in doubled integer midranks gives 2*U_a as an exact int,
+    the tie term of the normal method's sd, and the values the exact method
+    sums. The effect size r is |z| / sqrt(n1 + n2) in every mode.
     """
     if not sample_a or not sample_b:
         raise ValueError("both samples must be nonempty")
@@ -224,17 +202,23 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], *,
         raise ValueError(f"method must be 'normal' or 'exact', got {method!r}")
     n1, n2 = len(sample_a), len(sample_b)
     n = n1 + n2
-    ranks = _midranks(list(sample_a) + list(sample_b))
-    u_a = n1 * n2 + n1 * (n1 + 1) / 2 - sum(ranks[:n1])
+    ranks2, tie_term = _doubled_midranks(list(sample_a) + list(sample_b))
+    # 2*U_a from sample a's doubled rank sum, an exact int with or without ties
+    rank_sum2 = sum(ranks2[:n1])
+    u_a = (2 * n1 * n2 + n1 * (n1 + 1) - rank_sum2) / 2
     mu = n1 * n2 / 2.0
-    sd = _tie_corrected_sd(ranks, n1, n2)
+    var = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
+    sd = math.sqrt(var) if var > 0 else 0.0
     z = _z_score(u_a, mu, sd, continuity_correction)
 
     if method == "exact":
         if n > DEFAULT_EXACT_CAP:
             raise ValueError(
                 f"exact method capped at pooled size {DEFAULT_EXACT_CAP}, got {n}")
-        lower, upper = _exact_tail_counts(u_a, n1, n2, ranks)
+        # U* falls as an assignment's doubled rank sum rises: U* <= U_a is sum >= rank_sum2
+        counts = _subset_sum_counts(ranks2, n1)
+        lower = sum(c for t, c in counts.items() if t >= rank_sum2)
+        upper = sum(c for t, c in counts.items() if t <= rank_sum2)
         total = math.comb(n, n1)
         # int / int is correctly rounded, so p is the nearest float to the exact ratio
         p_one = (lower if u_a <= mu else upper) / total

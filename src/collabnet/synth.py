@@ -139,27 +139,50 @@ class PlantedCohortSpec:
 
 
 def load_cohort_spec(path) -> PlantedCohortSpec:
-    """Read a PlantedCohortSpec from its JSON file format."""
+    """Read a PlantedCohortSpec from its JSON file format.
+
+    Counts, sizes, the seed and the point values must be integers (a bool or
+    a fractional number is refused, an integral 2.0 loads), and is_leader a
+    JSON bool; a refusal names the file and the key.
+    """
+    def integer(raw, key: str) -> int:
+        try:
+            if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+                raise ValueError
+            return int(raw)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: {key} must be an integer, got {raw!r}") from None
+
+    def leader(target: dict, i: int) -> bool:
+        flag = target.get("is_leader", False)
+        if not isinstance(flag, bool):
+            raise ValueError(f"{path}: targets[{i}].is_leader must be true or false,"
+                             f" got {flag!r}")
+        return flag
+
     doc = _read_json(path)
     try:
         project = ProjectTemplate(
             project_id=doc["project"]["project_id"],
-            type_counts={str(k): int(v) for k, v in doc["project"]["type_counts"].items()},
-            point_values={int(k): int(v) for k, v in doc["project"]["point_values"].items()},
+            type_counts={str(k): integer(v, f"project.type_counts.{k}")
+                         for k, v in doc["project"]["type_counts"].items()},
+            point_values={integer(k, "project.point_values key"):
+                          integer(v, f"project.point_values.{k}")
+                          for k, v in doc["project"]["point_values"].items()},
         )
         targets = tuple(
             RoleTarget(
                 role=Role(t["role"]),
                 quantity_band=tuple(float(x) for x in t["quantity_band"]),
                 heterogeneity_band=tuple(float(x) for x in t["heterogeneity_band"]),
-                is_leader=bool(t.get("is_leader", False)),
+                is_leader=leader(t, i),
             )
-            for t in doc["targets"]
+            for i, t in enumerate(doc["targets"])
         )
         return PlantedCohortSpec(
-            seed=int(doc["seed"]),
-            groups=int(doc["groups"]),
-            group_size=int(doc["group_size"]),
+            seed=integer(doc["seed"], "seed"),
+            groups=integer(doc["groups"], "groups"),
+            group_size=integer(doc["group_size"], "group_size"),
             project=project,
             targets=targets,
         )

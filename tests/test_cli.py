@@ -336,6 +336,18 @@ class TestSynth:
         assert str(spec_path) in stderr
         assert "Traceback" not in stderr
 
+    def test_string_leader_flag_exits_1(self, tmp_path, capsys):
+        # bool("false") is True: two such targets read as two leaders per group
+        doc = json.loads(json.dumps(COHORT_SPEC))
+        for target in doc["targets"][1:]:
+            target["is_leader"] = "false"
+        spec_path = tmp_path / "cohort.json"
+        spec_path.write_text(json.dumps(doc))
+        code, stdout, stderr = run(capsys, "synth", "--spec", spec_path, "--out", tmp_path / "o")
+        assert (code, stdout) == (1, "")
+        assert stderr == (f"error: {spec_path}: targets[1].is_leader must be true or false,"
+                          " got 'false'\n")
+
     def test_malformed_spec_exits_1_naming_file(self, tmp_path, capsys):
         spec_path = tmp_path / "cohort.json"
         spec_path.write_text('{"seed": 1 "groups": 2}')

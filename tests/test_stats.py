@@ -134,6 +134,23 @@ class TestMannWhitneyU:
         u_a = 2 * 2 + 2 * 3 / 2 - sum(ranks_a)
         assert res.z == pytest.approx((u_a - 2.0) / math.sqrt(var), abs=1e-12)
 
+    @pytest.mark.parametrize("continuity", [False, True])
+    def test_normal_with_ties_matches_scipy(self, continuity):
+        # scipy's asymptotic method applies the same tie correction to the sd
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(26)
+        for _ in range(200):
+            n1, n2, top = rng.randint(1, 30), rng.randint(1, 30), rng.randint(1, 6)
+            a = [float(rng.randint(0, top)) for _ in range(n1)]
+            b = [float(rng.randint(0, top)) for _ in range(n2)]
+            if len(set(a + b)) == 1:
+                continue   # every value tied: the sd is 0 and scipy's z is undefined
+            ref = scipy_stats.mannwhitneyu(a, b, method="asymptotic", alternative="two-sided",
+                                           use_continuity=continuity)
+            res = mann_whitney_u(a, b, continuity_correction=continuity)
+            assert res.u == min(ref.statistic, n1 * n2 - ref.statistic), (a, b)
+            assert res.p_two_sided == pytest.approx(ref.pvalue, rel=1e-12), (a, b)
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             mann_whitney_u([], [1.0])
@@ -352,6 +369,34 @@ class TestBarnard:
         p = sum(math.comb(m1, x1) * math.comb(m2, x2) * pi ** (x1 + x2)
                 * (1 - pi) ** (n - x1 - x2) for x1, x2 in region)
         assert res.p_two_sided == pytest.approx(p, abs=1e-12)
+
+    # Mass terms and pmf values come from differences of log k! values of
+    # size about N log N, so their rounding grows with N; this pins p within
+    # a relative 1e-12 up to a table total of 1,500
+    @pytest.mark.parametrize("tails", ["one", "two"])
+    @pytest.mark.parametrize("cells", [(78, 18, 38, 16), (420, 180, 380, 220),
+                                       (753, 203, 375, 169)])
+    def test_p_is_exact_region_probability_at_large_n(self, cells, tails):
+        a, b, c, d = cells
+        m1, m2 = a + b, c + d
+        n = m1 + m2
+        res = barnard_test(ContingencyTable2x2(*cells), tails=tails)
+        # the region's integer weight W_s on each diagonal s = x1 + x2
+        comb1 = [math.comb(m1, x) for x in range(m1 + 1)]
+        comb2 = [math.comb(m2, x) for x in range(m2 + 1)]
+        weights = [0] * (n + 1)
+        for x1, x2 in oracle_barnard_region(cells, tails):
+            weights[x1 + x2] += comb1[x1] * comb2[x2]
+        # a float argmax is i / j exactly, so the region probability is
+        # sum_s W_s * i**s * (j - i)**(n - s) / j**n; Horner's rule in ints
+        i, j = res.nuisance_argmax.as_integer_ratio()
+        numer, power = 0, 1
+        for w in weights:
+            numer = numer * (j - i) + w * power
+            power *= i
+        p_num, p_den = res.p.as_integer_ratio()
+        # |p / exact - 1| <= 1e-12, cross-multiplied
+        assert 10**12 * abs(p_num * j**n - numer * p_den) <= numer * p_den, (cells, tails)
 
     # (3, 4, 5, 1) is left out: its mirror table ties |t_obs| exactly (see
     # the test above), and scipy's float scores drop it from the region

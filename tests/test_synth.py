@@ -307,3 +307,46 @@ class TestCohortSpecFile:
         path.write_text(json.dumps({"seed": 1}))
         with pytest.raises(ValueError, match="missing cohort spec key"):
             load_cohort_spec(path)
+
+    def edited(self, tmp_path, edit):
+        doc = json.loads(json.dumps(self.DOC))
+        edit(doc)
+        path = tmp_path / "cohort.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(seed=7.9), "seed must be an integer, got 7.9"),
+        (lambda d: d.update(groups=2.6), "groups must be an integer, got 2.6"),
+        (lambda d: d.update(group_size=True), "group_size must be an integer, got True"),
+        (lambda d: d.update(seed=None), "seed must be an integer, got None"),
+        (lambda d: d["project"]["type_counts"].update(Design=17.5),
+         "project.type_counts.Design must be an integer, got 17.5"),
+        (lambda d: d["project"]["point_values"].update({"10": False}),
+         "project.point_values.10 must be an integer, got False"),
+        (lambda d: d["project"]["point_values"].update({"2.5": 1}),
+         "project.point_values key must be an integer, got '2.5'"),
+        (lambda d: d["targets"][1].update(is_leader="false"),
+         "targets[1].is_leader must be true or false, got 'false'"),
+        (lambda d: d["targets"][2].update(is_leader=0),
+         "targets[2].is_leader must be true or false, got 0"),
+    ], ids=["seed", "groups", "group_size", "null", "type_count", "point_count",
+            "point_key", "leader_string", "leader_int"])
+    def test_coercions_refused(self, tmp_path, edit, message):
+        # int() and bool() loaded 7.9 as 7, 2.6 as 2, True as 1 and "false" as a leader
+        path = self.edited(tmp_path, edit)
+        with pytest.raises(ValueError) as info:
+            load_cohort_spec(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_integral_floats_load(self, tmp_path):
+        def edit(doc):
+            doc.update(seed=9.0, groups=2.0, group_size=3.0)
+            doc["project"]["type_counts"]["Written"] = 35.0
+            doc["project"]["point_values"]["2"] = 19.0
+            doc["targets"][1]["is_leader"] = False
+        spec = load_cohort_spec(self.edited(tmp_path, edit))
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(self.DOC))
+        assert spec == load_cohort_spec(plain)
+        assert [t.is_leader for t in spec.targets] == [True, False, False]
