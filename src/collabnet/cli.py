@@ -37,44 +37,44 @@ def _add_out_option(parser: argparse.ArgumentParser):
                         help="output directory (default: $COLLABNET_OUT or ./collabnet_out)")
 
 
-def _analysis_options() -> argparse.ArgumentParser:
-    """Parent parser with the options analyze, stats and transitions share."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--data", required=True,
+def _add_data_options(parser: argparse.ArgumentParser):
+    parser.add_argument("--data", required=True,
                         help="dataset.json file or directory with the three CSVs")
-    _add_out_option(common)
-    cuts = roles.DEFAULT_THRESHOLDS
-    common.add_argument("--quantity-cut", type=float, default=cuts.quantity_cut,
-                        help="quantity classification cut in (0,1), default %(default)s")
-    common.add_argument("--heterogeneity-cut", type=float, default=cuts.heterogeneity_cut,
-                        help="heterogeneity classification cut in (0,1), default %(default)s")
-    common.add_argument("--tails", choices=("one", "two"), default=None,
+    _add_out_option(parser)
+    parser.add_argument("--tails", choices=("one", "two"), default=None,
                         help="tail convention (defaults: one-sided Mann-Whitney,"
                              " two-sided Barnard)")
-    common.add_argument("--continuity", action="store_true",
-                        help="apply the 0.5 continuity correction to the normal score")
-    common.add_argument("--exact-mwu", action="store_true",
-                        help="use the exact Mann-Whitney null distribution")
-    common.add_argument("--barnard-grid", type=float,
-                        default=stats.DEFAULT_GRID_RESOLUTION, metavar="STEP",
-                        help="nuisance grid step for Barnard's test, default 1e-4")
-    return common
 
 
-def _thresholds(args) -> Thresholds:
-    return Thresholds(quantity_cut=args.quantity_cut,
-                      heterogeneity_cut=args.heterogeneity_cut)
+def _add_cut_options(parser: argparse.ArgumentParser):
+    cuts, group = roles.DEFAULT_THRESHOLDS, parser.add_argument_group("role cuts")
+    group.add_argument("--quantity-cut", type=float, default=cuts.quantity_cut,
+                       help="quantity classification cut in (0,1), default %(default)s")
+    group.add_argument("--heterogeneity-cut", type=float, default=cuts.heterogeneity_cut,
+                       help="heterogeneity classification cut in (0,1), default %(default)s")
+
+
+def _add_mwu_options(parser: argparse.ArgumentParser):
+    group = parser.add_argument_group("Mann-Whitney test")
+    group.add_argument("--continuity", dest="continuity_correction", action="store_true",
+                       help="apply the 0.5 continuity correction to the normal score")
+    group.add_argument("--exact-mwu", dest="mwu_method", action="store_const", const="exact",
+                       default="normal", help="use the exact Mann-Whitney null distribution")
+
+
+def _add_barnard_option(parser: argparse.ArgumentParser):
+    parser.add_argument_group("Barnard's test").add_argument(
+        "--barnard-grid", type=float, default=stats.DEFAULT_GRID_RESOLUTION, metavar="STEP",
+        help="nuisance grid step for Barnard's test, default 1e-4")
 
 
 def _stats_options(args) -> pipeline.StatsOptions:
-    opts = pipeline.StatsOptions(
-        mwu_method="exact" if args.exact_mwu else "normal",
-        continuity_correction=args.continuity,
-        barnard_grid=args.barnard_grid,
-    )
+    """StatsOptions set by the options the subcommand has; their dests are field names."""
+    given = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(pipeline.StatsOptions) if hasattr(args, f.name)}
     if args.tails:
-        opts = dataclasses.replace(opts, mwu_tails=args.tails, barnard_tails=args.tails)
-    return opts
+        given.update(mwu_tails=args.tails, barnard_tails=args.tails)
+    return pipeline.StatsOptions(**given)
 
 
 def _out_dir(args) -> Path:
@@ -136,7 +136,7 @@ def cmd_analyze(args) -> int:
     dataset = _load_valid(args)
     if dataset is None:
         return 1
-    thresholds = _thresholds(args)
+    thresholds = Thresholds(args.quantity_cut, args.heterogeneity_cut)
     options = _stats_options(args)
     # Every DOT name is fixed before anything is written. Ids are joined with
     # "_", which they may contain, so two teams can share a name; the kinds
@@ -181,7 +181,7 @@ def cmd_stats(args) -> int:
     dataset = _load_valid(args, args.project)
     if dataset is None:
         return 1
-    profiles = pipeline.project_profiles(dataset, _thresholds(args))[args.project]
+    profiles = pipeline.project_profiles(dataset)[args.project]
     leaders, others = pipeline.leader_split(profiles, args.measure)
     if not leaders or not others:
         print(f"error: leader-vs-nonleader grouping needs both groups nonempty in"
@@ -211,7 +211,8 @@ def cmd_transitions(args) -> int:
     dataset = _load_valid(args, args.project_a, args.project_b)
     if dataset is None:
         return 1
-    profiles = pipeline.project_profiles(dataset, _thresholds(args))
+    thresholds = Thresholds(args.quantity_cut, args.heterogeneity_cut)
+    profiles = pipeline.project_profiles(dataset, thresholds)
     comparison = pipeline.compare_projects(
         profiles[args.project_a], profiles[args.project_b], _stats_options(args))
     table = comparison.contingency
@@ -277,19 +278,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"collabnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = _analysis_options()
-    p = sub.add_parser("analyze", parents=[common],
-                       help="run the full pipeline and write all reports")
+    p = sub.add_parser("analyze", help="run the full pipeline and write all reports")
+    for add in (_add_data_options, _add_cut_options, _add_mwu_options, _add_barnard_option):
+        add(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("stats", parents=[common],
-                       help="leader vs non-leader Mann-Whitney U test")
+    p = sub.add_parser("stats", help="leader vs non-leader Mann-Whitney U test")
+    for add in (_add_data_options, _add_mwu_options):
+        add(p)
     p.add_argument("--project", required=True, help="project id to test")
     p.add_argument("--measure", required=True, choices=("quantity", "heterogeneity"))
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("transitions", parents=[common],
-                       help="role transitions and Barnard's test")
+    p = sub.add_parser("transitions", help="role transitions and Barnard's test")
+    for add in (_add_data_options, _add_cut_options, _add_barnard_option):
+        add(p)
     p.add_argument("project_a", help="earlier project id")
     p.add_argument("project_b", help="later project id")
     p.set_defaults(func=cmd_transitions)

@@ -90,18 +90,23 @@ def build_network(roster: TeamRoster, spec: ProjectSpec,
     )
 
 
+def _touched_in(net: BipartiteNetwork, spec: ProjectSpec, student_id: str) -> frozenset[str]:
+    """The student's incident subtasks, once the spec and the network agree on the project."""
+    if spec.project_id != net.project_id:
+        raise ValueError(
+            f"spec project {spec.project_id!r} does not match network {net.project_id!r}"
+        )
+    return net._touched(student_id)
+
+
 def weighted_degree(net: BipartiteNetwork, spec: ProjectSpec, student_id: str) -> float:
     """Point-weighted share of the project's subtasks the student touched.
 
     Both the numerator and the denominator sum over every subtask of the
     project, so the value is 1.0 exactly when the student touched them all.
     """
-    if spec.project_id != net.project_id:
-        raise ValueError(
-            f"spec project {spec.project_id!r} does not match network {net.project_id!r}"
-        )
     by_id = spec._by_id
-    got = sum(by_id[j].points for j in net._touched(student_id))
+    got = sum(by_id[j].points for j in _touched_in(net, spec, student_id))
     return got / spec.total_weight
 
 
@@ -116,13 +121,9 @@ class TypeHistogram:
 
 def type_histogram(net: BipartiteNetwork, spec: ProjectSpec, student_id: str) -> TypeHistogram:
     """Count the student's incident subtasks per task type (zero-filled)."""
-    if spec.project_id != net.project_id:
-        raise ValueError(
-            f"spec project {spec.project_id!r} does not match network {net.project_id!r}"
-        )
     counts = {t: 0 for t in sorted(spec.type_capacities)}
     by_id = spec._by_id
-    for j in net._touched(student_id):
+    for j in _touched_in(net, spec, student_id):
         counts[by_id[j].task_type] += 1
     return TypeHistogram(student_id=student_id, counts=counts, total=sum(counts.values()))
 

@@ -250,7 +250,7 @@ def _json_rows(doc, path, key: str, columns: tuple[str, ...]):
 
 
 class _RowError(ValueError):
-    """A rejected row; the parser prefixes the row's location to the message."""
+    """A rejected value; the caller prefixes its location (row or spec file) to the message."""
 
 
 def _location(path, fmt: str, section: str, loc: int) -> str:
@@ -264,18 +264,15 @@ def _require_values(values, columns: tuple[str, ...]) -> None:
             raise _RowError(f"missing value for {column!r}")
 
 
-def _parse_points(raw) -> int:
-    """A positive integer from CSV text or a JSON value; JSON bools and
-    fractional (or non-finite) numbers are refused, as '2.5' is in a CSV."""
+def _parse_integer(raw, what: str) -> int:
+    """An integer from CSV text or a JSON value; JSON bools and fractional
+    (or non-finite) numbers are refused, as '2.5' is in a CSV."""
     try:
         if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
             raise ValueError
-        points = int(raw)
+        return int(raw)
     except (TypeError, ValueError):
-        raise _RowError(f"points must be an integer, got {raw!r}") from None
-    if points < 1:
-        raise _RowError(f"points must be positive, got {points}")
-    return points
+        raise _RowError(f"{what} must be an integer, got {raw!r}") from None
 
 
 def _project_specs(rows, path, fmt: str) -> dict[str, ProjectSpec]:
@@ -284,7 +281,9 @@ def _project_specs(rows, path, fmt: str) -> dict[str, ProjectSpec]:
     for loc, (project_id, subtask_id, task_type, raw_points) in rows:
         try:
             _require_values((project_id, subtask_id, task_type), SUBTASK_FIELDS)
-            points = _parse_points(raw_points)
+            points = _parse_integer(raw_points, "points")
+            if points < 1:
+                raise _RowError(f"points must be positive, got {points}")
             if (project_id, subtask_id) in seen:
                 raise _RowError(f"duplicate subtask_id {subtask_id!r}")
         except _RowError as exc:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import measures, pipeline
 from .model import (Dataset, InteractionRecord, ProjectSpec, Subtask, TeamRoster,
-                    _read_json)
+                    _parse_integer, _read_json)
 from .roles import DEFAULT_THRESHOLDS, QUADRANTS, Role
 
 GENERATOR_ID = "planted-cohort-v1"
@@ -138,58 +138,57 @@ class PlantedCohortSpec:
         return self.targets[start:start + self.group_size]
 
 
+def _band(raw, key: str) -> tuple[float, float]:
+    if (not isinstance(raw, list) or len(raw) != 2
+            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw)):
+        raise ValueError(f"{key} must be two numbers, got {raw!r}")
+    return float(raw[0]), float(raw[1])
+
+
+def _target(t: dict, key: str) -> RoleTarget:
+    names = [r.value for r in Role]
+    if t["role"] not in names:
+        raise ValueError(f"{key}.role must be one of {', '.join(names)}, got {t['role']!r}")
+    bands = (_band(t["quantity_band"], f"{key}.quantity_band"),
+             _band(t["heterogeneity_band"], f"{key}.heterogeneity_band"))
+    flag = t.get("is_leader", False)
+    if not isinstance(flag, bool):
+        raise ValueError(f"{key}.is_leader must be true or false, got {flag!r}")
+    return RoleTarget(Role(t["role"]), *bands, is_leader=flag)
+
+
 def load_cohort_spec(path) -> PlantedCohortSpec:
     """Read a PlantedCohortSpec from its JSON file format.
 
     Counts, sizes, the seed and the point values must be integers (a bool or
-    a fractional number is refused, an integral 2.0 loads), and is_leader a
-    JSON bool; a refusal names the file and the key.
+    a fractional number is refused, an integral 2.0 loads), band bounds JSON
+    numbers and is_leader a JSON bool. Every refusal names the file, and the
+    key where the reader knows it.
     """
-    def integer(raw, key: str) -> int:
-        try:
-            if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-                raise ValueError
-            return int(raw)
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: {key} must be an integer, got {raw!r}") from None
-
-    def leader(target: dict, i: int) -> bool:
-        flag = target.get("is_leader", False)
-        if not isinstance(flag, bool):
-            raise ValueError(f"{path}: targets[{i}].is_leader must be true or false,"
-                             f" got {flag!r}")
-        return flag
-
     doc = _read_json(path)
     try:
         project = ProjectTemplate(
             project_id=doc["project"]["project_id"],
-            type_counts={str(k): integer(v, f"project.type_counts.{k}")
+            type_counts={str(k): _parse_integer(v, f"project.type_counts.{k}")
                          for k, v in doc["project"]["type_counts"].items()},
-            point_values={integer(k, "project.point_values key"):
-                          integer(v, f"project.point_values.{k}")
+            point_values={_parse_integer(k, "project.point_values key"):
+                          _parse_integer(v, f"project.point_values.{k}")
                           for k, v in doc["project"]["point_values"].items()},
         )
-        targets = tuple(
-            RoleTarget(
-                role=Role(t["role"]),
-                quantity_band=tuple(float(x) for x in t["quantity_band"]),
-                heterogeneity_band=tuple(float(x) for x in t["heterogeneity_band"]),
-                is_leader=leader(t, i),
-            )
-            for i, t in enumerate(doc["targets"])
-        )
+        targets = [_target(t, f"targets[{i}]") for i, t in enumerate(doc["targets"])]
         return PlantedCohortSpec(
-            seed=integer(doc["seed"], "seed"),
-            groups=integer(doc["groups"], "groups"),
-            group_size=integer(doc["group_size"], "group_size"),
+            seed=_parse_integer(doc["seed"], "seed"),
+            groups=_parse_integer(doc["groups"], "groups"),
+            group_size=_parse_integer(doc["group_size"], "group_size"),
             project=project,
             targets=targets,
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing cohort spec key {exc}") from exc
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed cohort spec: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

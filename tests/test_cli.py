@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import collabnet
-from collabnet.cli import main
+from collabnet.cli import build_parser, main
 
 from conftest import FIXTURES, make_dataset, make_interactions, make_roster, make_spec
 
@@ -402,6 +403,38 @@ class TestMisc:
                   "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+    SHARED = {"--data", "--out", "--tails", "--quantity-cut", "--heterogeneity-cut",
+              "--continuity", "--exact-mwu", "--barnard-grid"}
+
+    def test_each_subcommand_takes_the_options_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        shared = {name: {o for a in sub.choices[name]._actions for o in a.option_strings}
+                  & self.SHARED for name in ("analyze", "stats", "transitions")}
+        assert shared["analyze"] == self.SHARED
+        assert shared["stats"] == self.SHARED - {"--quantity-cut", "--heterogeneity-cut",
+                                                 "--barnard-grid"}
+        assert shared["transitions"] == self.SHARED - {"--exact-mwu", "--continuity"}
+        assert sum(map(len, shared.values())) == 19
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("stats", "--project", "TP1", "--measure", "quantity"), ("--quantity-cut", "1.5")),
+        (("stats", "--project", "TP1", "--measure", "quantity"),
+         ("--heterogeneity-cut", "0.3")),
+        (("stats", "--project", "TP1", "--measure", "quantity"), ("--barnard-grid", "0.05")),
+        (("transitions", "TP1", "TP2"), ("--exact-mwu",)),
+        (("transitions", "TP1", "TP2"), ("--continuity",)),
+    ], ids=["stats-quantity-cut", "stats-heterogeneity-cut", "stats-barnard-grid",
+            "transitions-exact-mwu", "transitions-continuity"])
+    def test_option_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys, argv, flag):
+        # stats --quantity-cut 1.5 exited 1 on a cut that changes none of its output
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--data", str(STUDY), *flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_prints_the_default_cuts(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -114,8 +114,11 @@ class TestDegree:
     def test_spec_network_mismatch_raises(self):
         net = build_network(make_roster(), make_spec(), ())
         other = make_spec(project_id="P2")
-        with pytest.raises(ValueError, match="does not match"):
-            weighted_degree(net, other, "S1")
+        for fn in (weighted_degree, measures.type_histogram):
+            # the project check comes before the student check
+            for student in ("S1", "S99"):
+                with pytest.raises(ValueError, match="spec project 'P2' does not match"):
+                    fn(net, other, student)
 
 
 class TestWeightedDegree:

@@ -330,10 +330,22 @@ class TestCohortSpecFile:
          "targets[1].is_leader must be true or false, got 'false'"),
         (lambda d: d["targets"][2].update(is_leader=0),
          "targets[2].is_leader must be true or false, got 0"),
+        (lambda d: d["targets"][2].update(quantity_band=[False, "0.25"]),
+         "targets[2].quantity_band must be two numbers, got [False, '0.25']"),
+        (lambda d: d["targets"][0].update(heterogeneity_band=[0.7, 0.8, 0.95]),
+         "targets[0].heterogeneity_band must be two numbers, got [0.7, 0.8, 0.95]"),
+        (lambda d: d["targets"][0].update(quantity_band=[10**400, 1]),
+         "malformed cohort spec: int too large to convert to float"),
+        (lambda d: d.update(groups=0), "groups and group_size must be at least 1"),
+        (lambda d: d["targets"][1].update(role="boss"),
+         "targets[1].role must be one of comprehensive_contributor,"
+         " specialized_contributor, versatile_participant, free_rider, got 'boss'"),
     ], ids=["seed", "groups", "group_size", "null", "type_count", "point_count",
-            "point_key", "leader_string", "leader_int"])
+            "point_key", "leader_string", "leader_int", "band_bool_string",
+            "band_three_numbers", "band_huge_int", "zero_groups", "unknown_role"])
     def test_coercions_refused(self, tmp_path, edit, message):
-        # int() and bool() loaded 7.9 as 7, 2.6 as 2, True as 1 and "false" as a leader
+        # int(), float() and bool() loaded 7.9 as 7, 2.6 as 2, True as 1, "false" as
+        # a leader and [false, "0.25"] as (0.0, 0.25); the spec's own checks named no file
         path = self.edited(tmp_path, edit)
         with pytest.raises(ValueError) as info:
             load_cohort_spec(path)
