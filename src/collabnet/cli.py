@@ -15,15 +15,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import itertools
-import json
 import os
 import statistics
 import sys
 from pathlib import Path
 
 from . import __version__, pipeline, report, roles, stats, synth
-from .model import Dataset, load_dataset, validate_dataset, write_dataset, write_text
+from .model import (Dataset, TeamRoster, json_text, load_dataset, validate_dataset,
+                    write_dataset, write_text)
 # build_contingency, role_transitions and unpaired_students stay for bench/tracing.py
 from .roles import Thresholds, build_contingency, role_transitions, unpaired_students
 
@@ -142,27 +141,27 @@ def cmd_analyze(args) -> int:
     # "_", which they may contain, so two teams can share a name; the kinds
     # have their own prefixes, and a one-project chart cannot take a
     # two-project name.
-    dot_names: dict[str, tuple[str, str]] = {}
-    for key in sorted({(r.project_id, r.team_id) for r in dataset.rosters}):
-        name = _file_name("network", ".dot", *key)
+    dot_names: dict[str, TeamRoster] = {}
+    for roster in dataset.rosters:
+        name = _file_name("network", ".dot", roster.project_id, roster.team_id)
         if name in dot_names:
-            (p0, t0), (p1, t1) = dot_names[name], key
-            print(f"error: project {p0!r} team {t0!r} and project {p1!r} team {t1!r}"
+            first = dot_names[name]
+            print(f"error: project {first.project_id!r} team {first.team_id!r} and"
+                  f" project {roster.project_id!r} team {roster.team_id!r}"
                   f" would both be written to {name}", file=sys.stderr)
             return 1
-        dot_names[name] = key
+        dot_names[name] = roster
     bundle = pipeline.run_analysis(dataset, thresholds, options,
                                    input_digests=_input_digests(args.data))
     out = _out_dir(args)
 
     report.write_report_json(bundle, out / "report.json")
     nets = pipeline.team_networks(dataset)
+    subtasks = {pid: report.dot_subtasks(spec) for pid, spec in dataset.projects.items()}
+    for name, roster in dot_names.items():
+        write_text(out / name, report.export_network_dot(
+            nets[(roster.project_id, roster.team_id)], roster.leader, subtasks[roster.project_id]))
     for pid, profiles in bundle.profiles.items():
-        subtasks = report.dot_subtasks(dataset.projects[pid])
-        # profiles are ordered by team, so each team's run is contiguous
-        for team_id, team in itertools.groupby(profiles, key=lambda p: p.team_id):
-            dot = report.export_network_dot(nets[(pid, team_id)], list(team), subtasks)
-            write_text(out / _file_name("network", ".dot", pid, team_id), dot)
         if profiles:
             write_text(out / _file_name("quadrant", ".svg", pid),
                        report.export_quadrant_svg(profiles, thresholds))
@@ -202,7 +201,7 @@ def cmd_stats(args) -> int:
           f" {result.continuity_correction}")
     out = _out_dir(args)
     target = write_text(out / _file_name("mwu", ".json", args.project, args.measure),
-                        json.dumps(result.to_dict(), indent=2) + "\n")
+                        json_text(result.to_dict()))
     print(f"result written to {target}")
     return 0
 
@@ -225,14 +224,13 @@ def cmd_transitions(args) -> int:
         print(f"  joiners (only in {args.project_b}): {', '.join(comparison.joiners)}")
     print("  contingency (rows: leadership changed/unchanged,"
           " columns: role changed/unchanged):")
-    print(f"    [{table.a:3d} {table.b:3d}]")
-    print(f"    [{table.c:3d} {table.d:3d}]")
+    print("    [{:3d} {:3d}]\n    [{:3d} {:3d}]".format(*table.cells()))
     print(f"  leadership changes = {table.leadership_changes},"
           f" role changes = {table.role_changes}, n = {table.n}")
     doc: dict = {
         "from": args.project_a,
         "to": args.project_b,
-        "contingency": {"a": table.a, "b": table.b, "c": table.c, "d": table.d},
+        "contingency": dict(vars(table)),
         "dropouts": list(comparison.dropouts),
         "joiners": list(comparison.joiners),
     }
@@ -248,7 +246,7 @@ def cmd_transitions(args) -> int:
         print("  Barnard's test skipped: a contingency row sum is zero")
     out = _out_dir(args)
     target = write_text(out / _file_name("transitions", ".json", args.project_a, args.project_b),
-                        json.dumps(doc, indent=2) + "\n")
+                        json_text(doc))
     print(f"result written to {target}")
     return 0
 

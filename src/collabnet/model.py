@@ -141,8 +141,9 @@ class Violation:
 class Dataset:
     """A full input bundle: project specs, team rosters, interaction events.
 
-    Interactions are indexed by (project_id, team_id) once, at construction,
-    so per-team lookups do not rescan the events.
+    Rosters are sorted by (project_id, team_id), and a key repeated across
+    two rosters is refused. Interactions are indexed by (project_id, team_id)
+    once, at construction, so per-team lookups do not rescan the events.
     """
 
     projects: dict[str, ProjectSpec]
@@ -154,6 +155,10 @@ class Dataset:
 
     def __post_init__(self):
         ordered = tuple(sorted(self.rosters, key=lambda r: (r.project_id, r.team_id)))
+        for r0, r1 in zip(ordered, ordered[1:]):
+            if (r0.project_id, r0.team_id) == (r1.project_id, r1.team_id):
+                raise ValueError(
+                    f"duplicate roster for team {r1.team_id!r} in project {r1.project_id!r}")
         object.__setattr__(self, "rosters", ordered)
         object.__setattr__(self, "interactions", tuple(self.interactions))
         groups: dict[tuple[str, str], list[InteractionRecord]] = {}
@@ -409,6 +414,11 @@ def write_text(path, text: str) -> Path:
     return path
 
 
+def json_text(doc) -> str:
+    """A JSON document as collabnet writes every JSON file: indent 2, newline-ended."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _subtask_rows(dataset: Dataset) -> list[dict]:
     rows = []
     for pid in sorted(dataset.projects):
@@ -444,7 +454,7 @@ def dataset_to_json(dataset: Dataset) -> str:
     }
     if dataset.metadata:
         doc["metadata"] = {k: dataset.metadata[k] for k in sorted(dataset.metadata)}
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
 
 
 def write_dataset(dataset: Dataset, out_dir, fmt: str = "csv") -> list[Path]:

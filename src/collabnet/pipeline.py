@@ -85,7 +85,7 @@ def compare_projects(before, after, options: StatsOptions = StatsOptions(),
     dropouts, joiners = roles.unpaired_students(before, after)
     table = roles.build_contingency(pairs)
     barnard = None
-    if table.a + table.b >= 1 and table.c + table.d >= 1:
+    if 0 < table.leadership_changes < table.n:
         barnard = stats.barnard_test(table, tails=options.barnard_tails,
                                      grid_resolution=options.barnard_grid)
     return ProjectComparison(pairs, dropouts, joiners, table, barnard)

@@ -8,7 +8,6 @@ output, so all three formats are safe to golden-file in tests.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -16,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .measures import BipartiteNetwork
-from .model import ProjectSpec, write_text
+from .model import ProjectSpec, json_text, write_text
 from .roles import (DEFAULT_THRESHOLDS, QUADRANTS, ContingencyTable2x2, ContributionProfile,
                     RoleTransition, Thresholds)
 from .stats import BarnardResult, MwuResult
@@ -61,22 +60,18 @@ def dot_subtasks(spec: ProjectSpec) -> DotSubtasks:
     return DotSubtasks(spec.project_id, quoted, lines)
 
 
-def export_network_dot(net: BipartiteNetwork, profiles: Sequence[ContributionProfile],
+def export_network_dot(net: BipartiteNetwork, leader: str | None,
                        subtasks: DotSubtasks) -> str:
     """Render one team's bipartite network as a DOT graph.
 
-    Students sit on the left rank (ellipses, leaders double-ringed), subtasks
-    on the right (boxes annotated with type and points). `subtasks` is
-    `dot_subtasks` of the network's project.
+    Students sit on the left rank (ellipses, the roster's `leader`
+    double-ringed), subtasks on the right (boxes annotated with type and
+    points). `subtasks` is `dot_subtasks` of the network's project.
     """
     if subtasks.project_id != net.project_id:
         raise ValueError(
             f"spec project {subtasks.project_id!r} does not match network {net.project_id!r}"
         )
-    by_student = {p.student_id: p for p in profiles}
-    missing = [s for s in net.student_nodes if s not in by_student]
-    if missing:
-        raise ValueError(f"profiles missing for students {missing}")
 
     quoted = {}
     lines = [f"graph {_dot_quote(f'collab_{net.project_id}_{net.team_id}')} {{"]
@@ -86,7 +81,7 @@ def export_network_dot(net: BipartiteNetwork, profiles: Sequence[ContributionPro
     for student in net.student_nodes:
         quoted[student] = q = _dot_quote(student)
         attrs = ["shape=ellipse", 'style=filled']
-        if by_student[student].is_assigned_leader:
+        if student == leader:
             attrs += ['fillcolor="#ffd27f"', "peripheries=2",
                       f"label={_dot_quote(student, '(leader)')}"]
         else:
@@ -260,18 +255,12 @@ def _profile_dict(p: ContributionProfile) -> dict:
 
 
 def _transition_dict(t: RoleTransition) -> dict:
-    return {
-        "student_id": t.student_id,
-        "role_before": t.role_before.value,
-        "role_after": t.role_after.value,
-        "leadership_changed": t.leadership_changed,
-        "role_changed": t.role_changed,
-    }
+    return {**vars(t), "role_before": t.role_before.value, "role_after": t.role_after.value}
 
 
 def _contingency_dict(table: ContingencyTable2x2) -> dict:
     return {
-        "a": table.a, "b": table.b, "c": table.c, "d": table.d,
+        **vars(table),
         "leadership_changes": table.leadership_changes,
         "role_changes": table.role_changes,
         "n": table.n,
@@ -303,7 +292,7 @@ def report_to_json(bundle: ReportBundle) -> str:
     doc["transitions"] = {
         key: _comparison_dict(bundle.transitions[key]) for key in sorted(bundle.transitions)
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
 
 
 def write_report_json(bundle: ReportBundle, path) -> Path:

@@ -124,20 +124,8 @@ class MwuResult:
     p_two_sided: float
 
     def to_dict(self) -> dict:
-        return {
-            "test": "mann_whitney_u",
-            "u": self.u,
-            "z": self.z,
-            "p": self.p,
-            "r": self.r,
-            "n1": self.n1,
-            "n2": self.n2,
-            "method": self.method,
-            "tails": self.tails,
-            "continuity_correction": self.continuity_correction,
-            "p_one_sided": self.p_one_sided,
-            "p_two_sided": self.p_two_sided,
-        }
+        """The "test" tag, then the fields in declaration order."""
+        return {"test": "mann_whitney_u", **vars(self)}
 
 
 def _check_tails(tails: str) -> str:
@@ -289,17 +277,8 @@ class BarnardResult:
     p_two_sided: float
 
     def to_dict(self) -> dict:
-        return {
-            "test": "barnard",
-            "t": self.t,
-            "p": self.p,
-            "nuisance_argmax": self.nuisance_argmax,
-            "grid_resolution": self.grid_resolution,
-            "tails": self.tails,
-            "table": list(self.table),
-            "p_one_sided": self.p_one_sided,
-            "p_two_sided": self.p_two_sided,
-        }
+        """The "test" tag, then the fields in declaration order; table is a list."""
+        return {"test": "barnard", **vars(self), "table": list(self.table)}
 
 
 def _log_factorials(n: int) -> np.ndarray:

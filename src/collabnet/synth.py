@@ -154,7 +154,10 @@ def _target(t: dict, key: str) -> RoleTarget:
     flag = t.get("is_leader", False)
     if not isinstance(flag, bool):
         raise ValueError(f"{key}.is_leader must be true or false, got {flag!r}")
-    return RoleTarget(Role(t["role"]), *bands, is_leader=flag)
+    try:
+        return RoleTarget(Role(t["role"]), *bands, is_leader=flag)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def load_cohort_spec(path) -> PlantedCohortSpec:

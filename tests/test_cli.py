@@ -391,6 +391,21 @@ class TestSynth:
 
 
 class TestMisc:
+    def test_subcommand_files_agree_with_analyze(self, tmp_path, capsys):
+        for argv in (["analyze", "--exact-mwu"],
+                     ["stats", "--exact-mwu", "--project", "TP2", "--measure", "quantity"],
+                     ["transitions", "TP1", "TP2"]):
+            code, _, _ = run(capsys, *argv, "--data", STUDY, "--out", tmp_path)
+            assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        mwu = json.loads((tmp_path / "mwu_TP2_quantity.json").read_text())
+        assert list(mwu.items()) == list(report["mann_whitney"]["TP2/quantity"].items())
+        entry = report["transitions"]["TP1->TP2"]
+        doc = json.loads((tmp_path / "transitions_TP1_TP2.json").read_text())
+        assert doc["contingency"] == {k: entry["contingency"][k] for k in "abcd"}
+        assert list(doc["barnard"].items()) == list(entry["barnard"].items())
+        assert (doc["dropouts"], doc["joiners"]) == (entry["dropouts"], entry["joiners"])
+
     @pytest.mark.parametrize("argv", [
         ("analyze",),
         ("stats", "--project", "TP1", "--measure", "quantity"),

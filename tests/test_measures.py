@@ -199,6 +199,17 @@ class TestMaxEntropy:
         with pytest.raises(ValueError, match="exceeds total capacity"):
             max_entropy_constant(79, TP1_CAPACITIES)
 
+    @pytest.mark.parametrize("n", [-1, 2.5])
+    def test_n_must_be_a_nonnegative_integer(self, n):
+        with pytest.raises(ValueError, match=f"^n must be a nonnegative integer, got {n}$"):
+            max_entropy_composition(n, TP1_CAPACITIES)
+
+    @pytest.mark.parametrize("cap", [-1, 1.5])
+    def test_capacity_must_be_a_nonnegative_integer(self, cap):
+        with pytest.raises(ValueError, match="^capacity of 'Design' must be a nonnegative"
+                                             f" integer, got {cap}$"):
+            max_entropy_composition(2, {"Written": 2, "Design": cap})
+
     def test_remainder_goes_to_roomiest_type(self):
         comp = max_entropy_composition(58, TP1_CAPACITIES)
         assert comp == {"Written": 21, "Research": 20, "Design": 17}

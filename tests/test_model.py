@@ -32,6 +32,12 @@ class TestTypes:
         with pytest.raises(ValueError, match="task_type"):
             Subtask("A1", "P1", "", 2)
 
+    @pytest.mark.parametrize("ids, field", [(("", "P1"), "subtask_id"),
+                                            (("A1", ""), "project_id")])
+    def test_subtask_rejects_empty_ids(self, ids, field):
+        with pytest.raises(ValueError, match=f"^{field} must be nonempty$"):
+            Subtask(*ids, "Written", 2)
+
     def test_project_spec_computes_capacities(self):
         spec = make_spec()
         assert spec.type_capacities == {"Written": 2, "Research": 2, "Design": 2}
@@ -59,6 +65,18 @@ class TestTypes:
         # construction tolerates it; validate_dataset reports it
         roster = TeamRoster("T1", "P1", frozenset({"S1"}), leader="S9")
         assert roster.leader == "S9"
+
+    @pytest.mark.parametrize("events", [(), (("A", "A1"), ("B", "A1"))])
+    def test_dataset_rejects_a_repeated_roster_key(self, events):
+        # refused at construction: validation indexes one roster per key, so it
+        # would miss the clash without events and misreport A with them
+        spec = make_spec()
+        rosters = (make_roster(members=("A",), leader=None),
+                   make_roster(members=("B",), leader=None),
+                   make_roster(team_id="T2", members=("C",), leader=None))
+        with pytest.raises(ValueError, match="^duplicate roster for team 'T1' in project 'P1'$"):
+            Dataset(projects={"P1": spec}, rosters=rosters,
+                    interactions=make_interactions(events))
 
 
 class TestParsing:

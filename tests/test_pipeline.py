@@ -78,6 +78,12 @@ class TestStatsOptionsMannWhitney:
             method=options.mwu_method)
 
 
+def test_leader_split_refuses_an_unknown_measure(study_profiles):
+    with pytest.raises(ValueError, match="^measure must be 'quantity' or 'heterogeneity',"
+                                         " got 'role'$"):
+        pipeline.leader_split(study_profiles["TP1"], "role")
+
+
 def test_bundle_and_threshold_fields():
     assert [f.name for f in dataclasses.fields(ReportBundle)] == [
         "metadata", "profiles", "transitions", "mwu"]

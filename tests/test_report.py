@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import stat
 import xml.etree.ElementTree as ET
@@ -21,14 +22,13 @@ from collabnet.roles import QUADRANTS, ContributionProfile, Role, Thresholds
 from conftest import make_roster, make_spec, parse_dot, roster
 
 
-def reference_dot(net, profiles, spec):
+def reference_dot(net, leader, spec):
     """The DOT text rendered line by line from the spec, with no shared value."""
     q = report._dot_quote
-    leaders = {p.student_id for p in profiles if p.is_assigned_leader}
     lines = [f"graph {q(f'collab_{net.project_id}_{net.team_id}')} {{", "  rankdir=LR;",
              '  node [fontsize=10, fontname="Helvetica"];', "  { rank=source;"]
     for s in net.student_nodes:
-        if s in leaders:
+        if s == leader:
             attrs = f'fillcolor="#ffd27f", peripheries=2, label={q(s, "(leader)")}'
         else:
             attrs = f'fillcolor="#e8e8e8", label={q(s)}'
@@ -44,18 +44,17 @@ def reference_dot(net, profiles, spec):
     return "\n".join(lines) + "\n}\n"
 
 
-def team3_inputs(study_dataset, study_profiles, project="TP1"):
+def team3_inputs(study_dataset, project="TP1"):
     spec = study_dataset.projects[project]
-    net = measures.build_network(roster(study_dataset, project, "Team_3"), spec,
-                                 study_dataset.interactions_for(project, "Team_3"))
-    profiles = [p for p in study_profiles[project] if p.team_id == "Team_3"]
-    return net, profiles, spec
+    team = roster(study_dataset, project, "Team_3")
+    net = measures.build_network(team, spec, study_dataset.interactions_for(project, "Team_3"))
+    return net, team.leader, spec
 
 
 class TestDotExport:
     def test_team3_structure(self, study_dataset, study_profiles):
-        net, profiles, spec = team3_inputs(study_dataset, study_profiles)
-        dot = export_network_dot(net, profiles, dot_subtasks(spec))
+        net, leader, spec = team3_inputs(study_dataset)
+        dot = export_network_dot(net, leader, dot_subtasks(spec))
         nodes, edges, ranks = parse_dot(dot)
         students = [n for n in nodes if n.startswith("S")]
         subtasks = [n for n in nodes if n.startswith("TP1-")]
@@ -66,33 +65,33 @@ class TestDotExport:
         for a, b in edges:
             assert a in students and b in subtasks
         assert 'peripheries=2' in dot          # leader flagged
+        # the roster's leader is the student the profiles mark as leader
+        assert [p.student_id for p in study_profiles["TP1"]
+                if p.team_id == "Team_3" and p.is_assigned_leader] == [leader]
+        assert f'label="{leader}\\n(leader)"' in dot
         assert '\\nDesign (' in dot            # type and points annotated
 
     def test_empty_network(self):
         spec = make_spec()
         roster = make_roster()
         net = measures.build_network(roster, spec, ())
-        profiles = [
-            ContributionProfile(s, "P1", "T1", 0.0, 0.0, s == "S1", Role.FREE_RIDER)
-            for s in ("S1", "S2", "S3")
-        ]
-        dot = export_network_dot(net, profiles, dot_subtasks(spec))
+        dot = export_network_dot(net, "S1", dot_subtasks(spec))
         nodes, edges, _ = parse_dot(dot)
         assert len(nodes) == 9
         assert edges == []
 
-    def test_deterministic(self, study_dataset, study_profiles):
-        net, profiles, spec = team3_inputs(study_dataset, study_profiles)
-        assert export_network_dot(net, profiles, dot_subtasks(spec)) == \
-            export_network_dot(net, profiles, dot_subtasks(spec))
+    def test_deterministic(self, study_dataset):
+        net, leader, spec = team3_inputs(study_dataset)
+        assert export_network_dot(net, leader, dot_subtasks(spec)) == \
+            export_network_dot(net, leader, dot_subtasks(spec))
 
     @given(st.lists(st.text(), min_size=1, max_size=3))
     def test_quote_escapes_each_line_then_joins(self, lines):
         escaped = [s.replace("\\", "\\\\").replace('"', '\\"') for s in lines]
         assert report._dot_quote(*lines) == '"' + "\\n".join(escaped) + '"'
 
-    def test_subtask_block_for_specs_equal_by_value(self, study_dataset, study_profiles):
-        net, profiles, spec = team3_inputs(study_dataset, study_profiles)
+    def test_subtask_block_for_specs_equal_by_value(self, study_dataset):
+        net, leader, spec = team3_inputs(study_dataset)
         twin = ProjectSpec(spec.project_id, tuple(
             Subtask(st.subtask_id, st.project_id, st.task_type, st.points)
             for st in spec.subtasks))
@@ -100,34 +99,29 @@ class TestDotExport:
             Subtask(st.subtask_id, st.project_id, st.task_type, 1) for st in spec.subtasks))
         assert twin == spec and twin is not spec and relabeled != spec
         for s in (spec, twin, relabeled, spec):
-            assert export_network_dot(net, profiles, dot_subtasks(s)) == \
-                reference_dot(net, profiles, s)
+            assert export_network_dot(net, leader, dot_subtasks(s)) == \
+                reference_dot(net, leader, s)
 
-    def test_subtask_block_for_nodes_other_than_the_spec(self, study_dataset, study_profiles):
-        net, profiles, spec = team3_inputs(study_dataset, study_profiles)
-        expected = reference_dot(net, profiles, spec)
+    def test_subtask_block_for_nodes_other_than_the_spec(self, study_dataset):
+        net, leader, spec = team3_inputs(study_dataset)
+        expected = reference_dot(net, leader, spec)
         subtasks = dot_subtasks(spec)  # one value for all three drawings
-        assert export_network_dot(net, profiles, subtasks) == expected
+        assert export_network_dot(net, leader, subtasks) == expected
         # a user-built network: fewer subtask nodes than the spec, in
         # another order, and an edge to a node outside them
         nodes = tuple(reversed(net.subtask_nodes[:5]))
         edges = {(s, j) for s, j in net.edges if j in nodes} | {("S_x", "TP1-A077")}
         partial = BipartiteNetwork(net.team_id, net.project_id, net.student_nodes,
                                    nodes, frozenset(edges))
-        dot = export_network_dot(partial, profiles, subtasks)
-        assert dot == reference_dot(partial, profiles, spec)
+        dot = export_network_dot(partial, leader, subtasks)
+        assert dot == reference_dot(partial, leader, spec)
         assert dot.count("shape=box") == 5
-        assert export_network_dot(net, profiles, subtasks) == expected
+        assert export_network_dot(net, leader, subtasks) == expected
 
-    def test_other_projects_subtasks_rejected(self, study_dataset, study_profiles):
-        net, profiles, _ = team3_inputs(study_dataset, study_profiles)
+    def test_other_projects_subtasks_rejected(self, study_dataset):
+        net, leader, _ = team3_inputs(study_dataset)
         with pytest.raises(ValueError, match="spec project 'TP2' does not match network 'TP1'"):
-            export_network_dot(net, profiles, dot_subtasks(study_dataset.projects["TP2"]))
-
-    def test_missing_profile_rejected(self, study_dataset, study_profiles):
-        net, profiles, spec = team3_inputs(study_dataset, study_profiles)
-        with pytest.raises(ValueError, match="missing"):
-            export_network_dot(net, profiles[:-1], dot_subtasks(spec))
+            export_network_dot(net, leader, dot_subtasks(study_dataset.projects["TP2"]))
 
 
 def svg_points(svg):
@@ -163,17 +157,23 @@ class TestQuadrantSvg:
         assert "comprehensive contributor" in svg
 
     def test_two_project_arrows_only_for_movers(self, study_profiles):
-        combined = list(study_profiles["TP1"]) + list(study_profiles["TP2"])
-        svg = export_quadrant_svg(combined)
-        _, _, arrows = svg_points(svg)
-        paired = {p.student_id for p in study_profiles["TP1"]} & \
-                 {p.student_id for p in study_profiles["TP2"]}
         tp1 = {p.student_id: p for p in study_profiles["TP1"]}
         tp2 = {p.student_id: p for p in study_profiles["TP2"]}
-        movers = [s for s in paired
-                  if (tp1[s].quantity, tp1[s].heterogeneity)
-                  != (tp2[s].quantity, tp2[s].heterogeneity)]
-        assert len(arrows) == len(movers)
+        paired = sorted(tp1.keys() & tp2.keys())
+        # every fixture student moves; pin one paired student's TP2 point to its TP1 point
+        still = paired[0]
+        held = dict(tp2, **{still: dataclasses.replace(
+            tp2[still], quantity=tp1[still].quantity, heterogeneity=tp1[still].heterogeneity)})
+        for after in (tp2, held):
+            _, _, arrows = svg_points(export_quadrant_svg([*tp1.values(), *after.values()]))
+            movers = [s for s in paired
+                      if (tp1[s].quantity, tp1[s].heterogeneity)
+                      != (after[s].quantity, after[s].heterogeneity)]
+            assert len(arrows) == len(movers)
+            starts = {(a.get("x1"), a.get("y1")) for a in arrows}
+            assert ((report._x(tp1[still].quantity), report._y(tp1[still].heterogeneity))
+                    in starts) == (after is tp2)
+        assert len(movers) == len(paired) - 1 == 19
 
     def test_well_formed_and_deterministic(self, study_profiles):
         svg = export_quadrant_svg(study_profiles["TP1"])

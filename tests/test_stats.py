@@ -98,6 +98,11 @@ class TestNormalApproximation:
         with pytest.raises(ValueError):
             mann_whitney_from_u(99, 7, 2)
 
+    @pytest.mark.parametrize("n1, n2", [(0, 3), (3, 0)])
+    def test_empty_group_rejected(self, n1, n2):
+        with pytest.raises(ValueError, match="^both group sizes must be at least 1$"):
+            mann_whitney_from_u(0, n1, n2)
+
     def test_continuity_correction_shrinks_z(self):
         plain = mann_whitney_from_u(1, 7, 14)
         corrected = mann_whitney_from_u(1, 7, 14, continuity_correction=True)
@@ -173,6 +178,11 @@ class TestExactMethod:
         for n1, n2 in [(1, 1), (2, 2), (3, 4), (5, 3)]:
             assert exact_u_distribution(n1, n2) == \
                 oracle_exact_u_distribution(n1, n2)
+
+    @pytest.mark.parametrize("n1, n2", [(0, 3), (3, 0)])
+    def test_distribution_needs_both_groups(self, n1, n2):
+        with pytest.raises(ValueError, match="^both group sizes must be at least 1$"):
+            exact_u_distribution(n1, n2)
 
     def test_small_distributions(self):
         assert exact_u_distribution(1, 1) == {0: 1, 1: 1}

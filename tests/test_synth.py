@@ -5,6 +5,7 @@ import math
 import pytest
 
 from collabnet import measures, pipeline, synth
+from collabnet.model import ProjectSpec, Subtask
 from collabnet.roles import DEFAULT_THRESHOLDS, QUADRANTS, Role, classify
 from collabnet.synth import (
     InfeasibleTargetError,
@@ -93,6 +94,13 @@ class TestPlantContribution:
         with pytest.raises(InfeasibleTargetError, match="quantity band"):
             plant_contribution(spec, (0.97, 0.99), (0.0, 0.1))
 
+    def test_too_many_type_mixes_refused(self):
+        # 21 types of one subtask each: 2**21 count vectors, above the 2,000,000 limit
+        spec = ProjectSpec("P1", tuple(Subtask(f"A{i}", "P1", f"T{i:02d}", 2)
+                                       for i in range(21)))
+        with pytest.raises(ValueError, match="^type capacities .* too large to enumerate$"):
+            plant_contribution(spec, (0.0, 1.0), (0.0, 1.0))
+
     def test_infeasible_heterogeneity_names_constraint(self):
         # two types of two subtasks each: normalized entropy is only ever 0 or 1
         from conftest import make_spec
@@ -145,6 +153,23 @@ class TestSpecValidation:
     def test_template_counts_must_agree(self):
         with pytest.raises(ValueError, match="disagree"):
             ProjectTemplate("P1", {"A": 3}, {2: 2})
+
+    @pytest.mark.parametrize("template, message", [
+        (("", {"A": 2}, {2: 2}), "project_id must be nonempty"),
+        (("P1", {}, {}), "template needs at least one subtask"),
+        (("P1", {"A": 2, "B": 0}, {2: 2}), "type 'B' must have a positive count"),
+        (("P1", {"A": 2}, {2: 2, 3: 0}), "point values and their counts must be positive"),
+        (("P1", {"A": 2}, {0: 2}), "point values and their counts must be positive"),
+    ], ids=["project_id", "no_subtasks", "type_count", "point_count", "point_value"])
+    def test_template_checks(self, template, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProjectTemplate(*template)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_must_fit_in_64_bits(self, seed):
+        with pytest.raises(ValueError, match="^seed must fit in 64 bits$"):
+            PlantedCohortSpec(seed=seed, groups=1, group_size=1,
+                              project=TP1_TEMPLATE, targets=(self.make_targets(),))
 
     def test_target_count_checked(self):
         with pytest.raises(ValueError, match="targets"):
@@ -340,9 +365,15 @@ class TestCohortSpecFile:
         (lambda d: d["targets"][1].update(role="boss"),
          "targets[1].role must be one of comprehensive_contributor,"
          " specialized_contributor, versatile_participant, free_rider, got 'boss'"),
+        (lambda d: d["targets"][2].update(quantity_band=[0.0, 0.48]),
+         "targets[2]: quantity band (0.0, 0.48) for free_rider must end at or below 0.45"
+         " (margin 0.05 from the 0.5 cut)"),
+        (lambda d: d["targets"][0].update(heterogeneity_band=[0.95, 0.7]),
+         "targets[0]: heterogeneity band (0.95, 0.7) must satisfy 0 <= lo <= hi <= 1"),
     ], ids=["seed", "groups", "group_size", "null", "type_count", "point_count",
             "point_key", "leader_string", "leader_int", "band_bool_string",
-            "band_three_numbers", "band_huge_int", "zero_groups", "unknown_role"])
+            "band_three_numbers", "band_huge_int", "zero_groups", "unknown_role",
+            "band_margin", "band_order"])
     def test_coercions_refused(self, tmp_path, edit, message):
         # int(), float() and bool() loaded 7.9 as 7, 2.6 as 2, True as 1, "false" as
         # a leader and [false, "0.25"] as (0.0, 0.25); the spec's own checks named no file
