@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, pipeline, report, roles, stats, synth
-from .model import (Dataset, TeamRoster, json_text, load_dataset, validate_dataset,
+from .model import (TABLES, Dataset, TeamRoster, json_text, load_dataset, validate_dataset,
                     write_dataset, write_text)
 # build_contingency, role_transitions and unpaired_students stay for bench/tracing.py
 from .roles import Thresholds, build_contingency, role_transitions, unpaired_students
@@ -93,8 +93,7 @@ def _file_name(kind: str, ext: str, *ids: str) -> str:
 
 def _input_digests(data_path: str) -> dict[str, str]:
     path = Path(data_path)
-    files = ([path] if path.is_file()
-             else [path / name for name in ("subtasks.csv", "teams.csv", "interactions.csv")])
+    files = [path] if path.is_file() else [path / t.file for t in TABLES]
     digests = {}
     for f in files:
         if f.is_file():

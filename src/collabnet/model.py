@@ -6,13 +6,13 @@ canonical serialization, and referential-integrity validation.
 
 On-disk formats
 ---------------
-subtasks.csv      header: project_id,subtask_id,task_type,points
-teams.csv         header: project_id,team_id,student_id,is_leader   (is_leader in {0,1})
-interactions.csv  header: project_id,team_id,student_id,subtask_id,timestamp
-                  (timestamp ISO-8601 or empty; kept as provenance, unused by measures)
-dataset.json      one object with keys "projects", "teams", "interactions",
-                  each a list of row objects mirroring the CSV fields; an
-                  optional "metadata" object carries string provenance tags.
+A dataset is three tables, each listed once in TABLES with its CSV file,
+its JSON bundle key and its columns: the subtasks of each project, the team
+rosters (leader flag 0 or 1) and the interaction events (timestamp ISO-8601
+or empty; kept as provenance, unused by measures). A directory holds one
+CSV per table, headed by its columns. A JSON bundle is one object holding
+each table as a list of row objects, plus an optional "metadata" object of
+string provenance tags.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -28,6 +29,14 @@ from pathlib import Path
 SUBTASK_FIELDS = ("project_id", "subtask_id", "task_type", "points")
 TEAM_FIELDS = ("project_id", "team_id", "student_id", "is_leader")
 INTERACTION_FIELDS = ("project_id", "team_id", "student_id", "subtask_id", "timestamp")
+
+# Each table of a dataset: its CSV file, its key in a JSON bundle, its columns.
+Table = namedtuple("Table", ("file", "key", "columns"))
+TABLES = (
+    Table("subtasks.csv", "projects", SUBTASK_FIELDS),
+    Table("teams.csv", "teams", TEAM_FIELDS),
+    Table("interactions.csv", "interactions", INTERACTION_FIELDS),
+)
 
 # Violation kinds reported by validate_dataset
 UNKNOWN_PROJECT = "UnknownProject"
@@ -199,23 +208,28 @@ def _read_csv_rows(path, columns: tuple[str, ...]):
     are csv.DictReader's, without a dict per row: a repeated header name
     takes its last column, a field past the end of a short row reads None,
     and extra fields are ignored. line is the physical line on which the
-    row starts, so blank lines and quoted line breaks are counted.
+    row starts, so blank lines and quoted line breaks are counted; a row the
+    csv module refuses (a field over its size limit, say) is reported there.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        index = {name: i for i, name in enumerate(next(reader, []))}
-        missing = [c for c in columns if c not in index]
-        if missing:
-            raise DataFormatError(f"{path}: missing column(s) {', '.join(missing)}")
-        positions = [index[c] for c in columns]
-        pick, width = itemgetter(*positions), max(positions) + 1
-        line = reader.line_num + 1
-        for row in reader:
-            if len(row) >= width:
-                yield line, pick(row)
-            elif row:
-                yield line, tuple(row[i] if i < len(row) else None for i in positions)
+        line = 1
+        try:
+            index = {name: i for i, name in enumerate(next(reader, []))}
+            missing = [c for c in columns if c not in index]
+            if missing:
+                raise DataFormatError(f"{path}: missing column(s) {', '.join(missing)}")
+            positions = [index[c] for c in columns]
+            pick, width = itemgetter(*positions), max(positions) + 1
             line = reader.line_num + 1
+            for row in reader:
+                if len(row) >= width:
+                    yield line, pick(row)
+                elif row:
+                    yield line, tuple(row[i] if i < len(row) else None for i in positions)
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:line[{line}]: {exc}") from None
 
 
 def _read_json(path):
@@ -234,8 +248,8 @@ def _json_text(value) -> str | None:
 def _json_rows(doc, path, key: str, columns: tuple[str, ...]):
     """One section of a parsed JSON bundle as (index, values) pairs.
 
-    The section is checked at the call. values holds the row's fields named
-    by columns, in that order, with text columns converted by _json_text.
+    The section is checked at the first row asked for. values holds the row's
+    fields named by columns, in that order, text columns converted by _json_text.
     """
     if not isinstance(doc, dict) or key not in doc:
         raise DataFormatError(f"{path}: expected a JSON object with a {key!r} key")
@@ -243,23 +257,16 @@ def _json_rows(doc, path, key: str, columns: tuple[str, ...]):
     if not isinstance(section, list):
         raise DataFormatError(f"{path}: {key!r} must be a list of row objects")
     raw = [c in _RAW_COLUMNS for c in columns]
-
-    def rows():
-        for i, row in enumerate(section):
-            if not isinstance(row, dict):
-                raise DataFormatError(f"{_location(path, 'json', key, i)}: row must be "
-                                      f"an object, got {type(row).__name__}")
-            yield i, tuple(row.get(c) if r else _json_text(row.get(c))
-                           for c, r in zip(columns, raw))
-    return rows()
+    for i, row in enumerate(section):
+        if not isinstance(row, dict):
+            raise DataFormatError(
+                f"{path}:{key}[{i}]: row must be an object, got {type(row).__name__}")
+        yield i, tuple(row.get(c) if r else _json_text(row.get(c))
+                       for c, r in zip(columns, raw))
 
 
 class _RowError(ValueError):
     """A rejected value; the caller prefixes its location (row or spec file) to the message."""
-
-
-def _location(path, fmt: str, section: str, loc: int) -> str:
-    return f"{path}:{'line' if fmt == 'csv' else section}[{loc}]"
 
 
 def _require_values(values, columns: tuple[str, ...]) -> None:
@@ -280,7 +287,9 @@ def _parse_integer(raw, what: str) -> int:
         raise _RowError(f"{what} must be an integer, got {raw!r}") from None
 
 
-def _project_specs(rows, path, fmt: str) -> dict[str, ProjectSpec]:
+# A parser reports a bad (loc, values) row as "{where}[{loc}]: ...", where being
+# "FILE:line" for a CSV and "BUNDLE:key" for a JSON section.
+def _project_specs(rows, where: str) -> dict[str, ProjectSpec]:
     by_project: dict[str, list[Subtask]] = {}
     seen: set[tuple[str, str]] = set()
     for loc, (project_id, subtask_id, task_type, raw_points) in rows:
@@ -292,7 +301,7 @@ def _project_specs(rows, path, fmt: str) -> dict[str, ProjectSpec]:
             if (project_id, subtask_id) in seen:
                 raise _RowError(f"duplicate subtask_id {subtask_id!r}")
         except _RowError as exc:
-            raise DataFormatError(f"{_location(path, fmt, 'projects', loc)}: {exc}") from None
+            raise DataFormatError(f"{where}[{loc}]: {exc}") from None
         seen.add((project_id, subtask_id))
         by_project.setdefault(project_id, []).append(
             Subtask(subtask_id, project_id, task_type, points))
@@ -300,11 +309,11 @@ def _project_specs(rows, path, fmt: str) -> dict[str, ProjectSpec]:
 
 
 def parse_project_specs(path) -> dict[str, ProjectSpec]:
-    """Parse subtasks.csv rows into one ProjectSpec per project, in file order."""
-    return _project_specs(_read_csv_rows(path, SUBTASK_FIELDS), path, "csv")
+    """Parse a CSV of subtask rows into one ProjectSpec per project, in file order."""
+    return _project_specs(_read_csv_rows(path, SUBTASK_FIELDS), f"{path}:line")
 
 
-def _team_rosters(rows, path, fmt: str) -> tuple[TeamRoster, ...]:
+def _team_rosters(rows, where: str) -> tuple[TeamRoster, ...]:
     members: dict[tuple[str, str], set[str]] = {}
     leaders: dict[tuple[str, str], str] = {}
     for loc, (project_id, team_id, student_id, raw_leader) in rows:
@@ -318,7 +327,7 @@ def _team_rosters(rows, path, fmt: str) -> tuple[TeamRoster, ...]:
                 raise _RowError(
                     f"team {team_id!r} in project {project_id!r} has two leaders")
         except _RowError as exc:
-            raise DataFormatError(f"{_location(path, fmt, 'teams', loc)}: {exc}") from None
+            raise DataFormatError(f"{where}[{loc}]: {exc}") from None
         members.setdefault(key, set()).add(student_id)
         if is_leader:
             leaders[key] = student_id
@@ -327,11 +336,11 @@ def _team_rosters(rows, path, fmt: str) -> tuple[TeamRoster, ...]:
 
 
 def parse_team_rosters(path) -> tuple[TeamRoster, ...]:
-    """Parse teams.csv membership rows into rosters, one per (project, team)."""
-    return _team_rosters(_read_csv_rows(path, TEAM_FIELDS), path, "csv")
+    """Parse a CSV of team membership rows into rosters, one per (project, team)."""
+    return _team_rosters(_read_csv_rows(path, TEAM_FIELDS), f"{path}:line")
 
 
-def _interactions(rows, path, fmt: str) -> tuple[InteractionRecord, ...]:
+def _interactions(rows, where: str) -> tuple[InteractionRecord, ...]:
     records = []
     append = records.append
     for loc, (project_id, team_id, student_id, subtask_id, ts) in rows:
@@ -340,15 +349,14 @@ def _interactions(rows, path, fmt: str) -> tuple[InteractionRecord, ...]:
                 _require_values((project_id, team_id, student_id, subtask_id),
                                 INTERACTION_FIELDS)
             except _RowError as exc:
-                raise DataFormatError(
-                    f"{_location(path, fmt, 'interactions', loc)}: {exc}") from None
+                raise DataFormatError(f"{where}[{loc}]: {exc}") from None
         append(InteractionRecord(project_id, team_id, student_id, subtask_id, ts or None))
     return tuple(records)
 
 
 def parse_interactions(path) -> tuple[InteractionRecord, ...]:
-    """Parse interactions.csv events in file order; duplicates are preserved."""
-    return _interactions(_read_csv_rows(path, INTERACTION_FIELDS), path, "csv")
+    """Parse a CSV of interaction events in file order; duplicates are preserved."""
+    return _interactions(_read_csv_rows(path, INTERACTION_FIELDS), f"{path}:line")
 
 
 def load_dataset(path) -> Dataset:
@@ -360,25 +368,23 @@ def load_dataset(path) -> Dataset:
     """
     path = Path(path)
     if path.is_dir():
-        projects = parse_project_specs(path / "subtasks.csv")
-        rosters = parse_team_rosters(path / "teams.csv")
-        interactions = parse_interactions(path / "interactions.csv")
-        metadata = {}
-    else:
-        if not path.is_file():
-            raise FileNotFoundError(f"dataset bundle not found: {path}")
+        doc = {}
+        sources = [(_read_csv_rows(path / t.file, t.columns), f"{path / t.file}:line")
+                   for t in TABLES]
+    elif path.is_file():
         doc = _read_json(path)
-        projects = _project_specs(
-            _json_rows(doc, path, "projects", SUBTASK_FIELDS), path, "json")
-        rosters = _team_rosters(_json_rows(doc, path, "teams", TEAM_FIELDS), path, "json")
-        interactions = _interactions(
-            _json_rows(doc, path, "interactions", INTERACTION_FIELDS), path, "json")
-        metadata = doc.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise DataFormatError(f"{path}: 'metadata' must be an object")
-        metadata = {str(k): str(v) for k, v in metadata.items()}
-    return Dataset(projects=projects, rosters=rosters,
-                   interactions=interactions, metadata=metadata)
+        sources = [(_json_rows(doc, path, t.key, t.columns), f"{path}:{t.key}")
+                   for t in TABLES]
+    else:
+        raise FileNotFoundError(f"dataset bundle not found: {path}")
+    projects, rosters, interactions = (
+        parse(rows, where) for parse, (rows, where)
+        in zip((_project_specs, _team_rosters, _interactions), sources))
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DataFormatError(f"{path}: 'metadata' must be an object")
+    return Dataset(projects=projects, rosters=rosters, interactions=interactions,
+                   metadata={str(k): str(v) for k, v in metadata.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -419,42 +425,38 @@ def json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _subtask_rows(dataset: Dataset) -> list[dict]:
-    rows = []
-    for pid in sorted(dataset.projects):
-        for st in dataset.projects[pid].subtasks:
-            rows.append({"project_id": pid, "subtask_id": st.subtask_id,
-                         "task_type": st.task_type, "points": st.points})
-    return rows
-
-
-def _team_rows(dataset: Dataset) -> list[dict]:
-    rows = []
-    for roster in dataset.rosters:
-        for student in sorted(roster.members):
-            rows.append({"project_id": roster.project_id, "team_id": roster.team_id,
-                         "student_id": student,
-                         "is_leader": 1 if student == roster.leader else 0})
-    return rows
-
-
-def _interaction_rows(dataset: Dataset) -> list[dict]:
-    return [{"project_id": i.project_id, "team_id": i.team_id,
-             "student_id": i.student_id, "subtask_id": i.subtask_id,
-             "timestamp": i.timestamp or ""}
-            for i in dataset.interactions]
+def _rows(dataset: Dataset) -> tuple[list[tuple], ...]:
+    """Each table's rows as tuples in its column order, tables in TABLES order."""
+    return (
+        [(pid, st.subtask_id, st.task_type, st.points)
+         for pid in sorted(dataset.projects) for st in dataset.projects[pid].subtasks],
+        [(roster.project_id, roster.team_id, student, 1 if student == roster.leader else 0)
+         for roster in dataset.rosters for student in sorted(roster.members)],
+        [(i.project_id, i.team_id, i.student_id, i.subtask_id, i.timestamp or "")
+         for i in dataset.interactions],
+    )
 
 
 def dataset_to_json(dataset: Dataset) -> str:
     """Serialize to the canonical JSON bundle (deterministic byte output)."""
-    doc = {
-        "projects": _subtask_rows(dataset),
-        "teams": _team_rows(dataset),
-        "interactions": _interaction_rows(dataset),
-    }
+    doc = {t.key: [dict(zip(t.columns, row)) for row in rows]
+           for t, rows in zip(TABLES, _rows(dataset))}
     if dataset.metadata:
         doc["metadata"] = {k: dataset.metadata[k] for k in sorted(dataset.metadata)}
     return json_text(doc)
+
+
+def _csv_text(columns: tuple[str, ...], rows) -> str:
+    """A table as CSV: its columns, then its rows. The writer quotes a line
+    feed, not a bare carriage return, at which a reader would end the row;
+    so a row holding one is written with every field quoted."""
+    buf = io.StringIO()
+    plain = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(columns)
+    for row in rows:
+        (quoted if any("\r" in str(v) for v in row) else plain).writerow(row)
+    return buf.getvalue()
 
 
 def write_dataset(dataset: Dataset, out_dir, fmt: str = "csv") -> list[Path]:
@@ -464,18 +466,8 @@ def write_dataset(dataset: Dataset, out_dir, fmt: str = "csv") -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         return [write_text(out_dir / "dataset.json", dataset_to_json(dataset))]
-    written = []
-    for name, fields, rows in (
-        ("subtasks.csv", SUBTASK_FIELDS, _subtask_rows(dataset)),
-        ("teams.csv", TEAM_FIELDS, _team_rows(dataset)),
-        ("interactions.csv", INTERACTION_FIELDS, _interaction_rows(dataset)),
-    ):
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(fields), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        written.append(write_text(out_dir / name, buf.getvalue()))
-    return written
+    return [write_text(out_dir / t.file, _csv_text(t.columns, rows))
+            for t, rows in zip(TABLES, _rows(dataset))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CSV and JSON ingest: the csv.reader parsers against a csv.DictReader oracle,
-physical line numbers in error messages, and one JSON parse per bundle.
+physical line numbers in error messages, one JSON parse per bundle, and
+write_dataset output that loads back unchanged in either format.
 
 The reference parsers below are the DictReader-based ones the package used
 before it read CSVs positionally. They number rows by counting the rows
@@ -9,20 +10,24 @@ compared; every other byte of a message must match.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collabnet import model
+from collabnet import cli, model
 from collabnet.model import (
+    TABLES,
     INTERACTION_FIELDS,
     SUBTASK_FIELDS,
     TEAM_FIELDS,
     DataFormatError,
     InteractionRecord,
+    Dataset,
     ProjectSpec,
     Subtask,
     TeamRoster,
@@ -346,3 +351,117 @@ def test_json_points_must_be_integral(points, shown, tmp_path):
     with pytest.raises(DataFormatError) as info:
         load_dataset(path)
     assert str(info.value) == f"{path}:projects[0]: points must be an integer, got {shown}"
+
+
+# ---------------------------------------------------------------------------
+# Rows the csv module refuses
+# ---------------------------------------------------------------------------
+
+LONG = "x" * 200_000   # over csv.field_size_limit()'s default of 131,072
+
+
+def test_field_over_the_csv_limit_names_its_line(tmp_path):
+    def edit(lines):
+        lines.insert(3, "")                                 # physical line 4 is blank
+        lines.insert(len(lines) - 1, f"TP1,Team 1,S01,{LONG},")
+    data, path = _study_with(tmp_path, edit)
+    last = len(path.read_text(encoding="utf-8").split("\n")) - 1
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(data)
+    assert str(info.value) == (
+        f"{path}:line[{last}]: field larger than field limit ({csv.field_size_limit()})")
+
+
+def test_header_over_the_csv_limit_is_line_one(tmp_path):
+    path = tmp_path / "subtasks.csv"
+    path.write_text(f"project_id,subtask_id,task_type,points,{LONG}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        parse_project_specs(path)
+    assert str(info.value).startswith(f"{path}:line[1]: field larger than field limit")
+
+
+def test_field_over_the_csv_limit_exits_1_with_one_error_line(tmp_path, capsys):
+    data, path = _study_with(tmp_path, lambda lines: lines.insert(-1, f"TP1,Team 1,S01,{LONG},"))
+    assert cli.main(["analyze", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:line[") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_nul_in_a_row_loads_or_names_its_line(tmp_path):
+    # csv.reader refuses NUL before Python 3.11 and keeps it from 3.11 on
+    data, path = _study_with(tmp_path, lambda lines: lines.__setitem__(
+        2, lines[2].replace("Team", "Te\0am", 1)))
+    if sys.version_info >= (3, 11):
+        assert load_dataset(data).interactions[1].team_id.startswith("Te\0am")
+    else:
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(data)
+        assert str(info.value) == f"{path}:line[3]: line contains NUL"
+
+
+# ---------------------------------------------------------------------------
+# Round trips through write_dataset
+# ---------------------------------------------------------------------------
+
+def test_a_bare_carriage_return_survives_a_csv_write(tmp_path):
+    ds = Dataset(projects={"P1": ProjectSpec("P1", (Subtask("A1", "P1", "W", 2),))},
+                 rosters=(TeamRoster("T1", "P1", frozenset({"cr\rx", "S2"}), "cr\rx"),),
+                 interactions=(InteractionRecord("P1", "T1", "S2", "A1", "2024\r01"),
+                               InteractionRecord("P1", "T1", "cr\rx", "A1", None)))
+    write_dataset(ds, tmp_path)
+    assert load_dataset(tmp_path) == ds
+    # a row holding a bare \r is quoted whole; every other row keeps its plain bytes
+    teams = (tmp_path / "teams.csv").read_bytes()
+    assert teams == b'project_id,team_id,student_id,is_leader\nP1,T1,S2,0\n"P1","T1","cr\rx","1"\n'
+    interactions = (tmp_path / "interactions.csv").read_bytes().split(b"\n")
+    assert interactions[1:] == [b'"P1","T1","S2","A1","2024\r01"', b'"P1","T1","cr\rx","A1",""', b""]
+
+
+def test_tables_match_the_written_files(study_dataset, tmp_path):
+    assert [p.name for p in write_dataset(study_dataset, tmp_path)] == [t.file for t in TABLES]
+    for table in TABLES:
+        header = (tmp_path / table.file).read_text(encoding="utf-8").split("\n", 1)[0]
+        assert tuple(header.split(",")) == table.columns
+    doc = json.loads(model.dataset_to_json(study_dataset))
+    assert list(doc) == [t.key for t in TABLES]
+    for table in TABLES:
+        assert all(tuple(row) == table.columns for row in doc[table.key])
+
+
+# Ids and timestamps hold what a CSV must quote or a reader could trip on:
+# line breaks (a bare \r too), quotes, commas, a byte-order mark and non-ASCII.
+# NUL is left out: csv.reader refuses it before Python 3.11.
+ID_TEXT = st.text(st.sampled_from("\r\n\",\ufeff ") | st.characters(codec="utf-8",
+                                                                     exclude_characters="\0"),
+                  min_size=1, max_size=5)
+
+
+@st.composite
+def datasets(draw):
+    projects, rosters = {}, []
+    for pid in draw(st.lists(ID_TEXT, min_size=1, max_size=3, unique=True)):
+        projects[pid] = ProjectSpec(pid, tuple(
+            Subtask(sid, pid, draw(ID_TEXT), draw(st.integers(1, 10**6)))
+            for sid in draw(st.lists(ID_TEXT, min_size=1, max_size=4, unique=True))))
+        for tid in draw(st.lists(ID_TEXT, max_size=3, unique=True)):
+            members = draw(st.frozensets(ID_TEXT, min_size=1, max_size=4))
+            leader = draw(st.none() | st.sampled_from(sorted(members)))
+            rosters.append(TeamRoster(tid, pid, members, leader))
+    interactions = draw(st.lists(st.builds(InteractionRecord, ID_TEXT, ID_TEXT, ID_TEXT,
+                                           ID_TEXT, st.none() | ID_TEXT), max_size=6))
+    metadata = draw(st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2))
+    return Dataset(projects=projects, rosters=tuple(rosters),
+                   interactions=tuple(interactions), metadata=metadata)
+
+
+def test_any_dataset_survives_write_dataset(scratch):
+    @given(datasets())
+    @settings(max_examples=200, deadline=None)
+    def check(ds):
+        write_dataset(ds, scratch / "csv")
+        assert load_dataset(scratch / "csv") == dataclasses.replace(ds, metadata={})
+        write_dataset(ds, scratch / "json", fmt="json")
+        assert load_dataset(scratch / "json" / "dataset.json") == ds
+
+    check()
