@@ -64,7 +64,7 @@ def _add_mwu_options(parser: argparse.ArgumentParser):
 def _add_barnard_option(parser: argparse.ArgumentParser):
     parser.add_argument_group("Barnard's test").add_argument(
         "--barnard-grid", type=float, default=stats.DEFAULT_GRID_RESOLUTION, metavar="STEP",
-        help="nuisance grid step for Barnard's test, default 1e-4")
+        help="nuisance grid step for Barnard's test, default %(default)g")
 
 
 def _stats_options(args) -> pipeline.StatsOptions:
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     for add in (_add_data_options, _add_mwu_options):
         add(p)
     p.add_argument("--project", required=True, help="project id to test")
-    p.add_argument("--measure", required=True, choices=("quantity", "heterogeneity"))
+    p.add_argument("--measure", required=True, choices=pipeline.MEASURES)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("transitions", help="role transitions and Barnard's test")

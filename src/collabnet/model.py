@@ -383,8 +383,11 @@ def load_dataset(path) -> Dataset:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DataFormatError(f"{path}: 'metadata' must be an object")
+    for key, value in metadata.items():
+        if not isinstance(value, str):
+            raise DataFormatError(f"{path}: metadata[{key!r}] must be a string, got {value!r}")
     return Dataset(projects=projects, rosters=rosters, interactions=interactions,
-                   metadata={str(k): str(v) for k, v in metadata.items()})
+                   metadata=dict(metadata))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +429,16 @@ def json_text(doc) -> str:
 
 
 def _rows(dataset: Dataset) -> tuple[list[tuple], ...]:
-    """Each table's rows as tuples in its column order, tables in TABLES order."""
+    """Each table's rows as tuples in its column order, tables in TABLES order.
+
+    A leader who is not a member of the team has no row to carry the flag,
+    so such a dataset is refused rather than written without its leader.
+    """
+    for roster in dataset.rosters:
+        if roster.leader is not None and roster.leader not in roster.members:
+            raise ValueError(
+                f"leader {roster.leader!r} of team {roster.team_id!r}"
+                f" (project {roster.project_id!r}) is not a member")
     return (
         [(pid, st.subtask_id, st.task_type, st.points)
          for pid in sorted(dataset.projects) for st in dataset.projects[pid].subtasks],

@@ -9,6 +9,9 @@ from .model import Dataset
 from .report import ProjectComparison, ReportBundle
 from .roles import ContributionProfile, Thresholds
 
+# The profile measures a leader test compares, in report order.
+MEASURES = ("quantity", "heterogeneity")
+
 
 @dataclass(frozen=True)
 class StatsOptions:
@@ -55,8 +58,8 @@ def project_profiles(dataset: Dataset,
 
 def leader_split(profiles, measure: str) -> tuple[list[float], list[float]]:
     """Split one project's profiles into (leader values, non-leader values)."""
-    if measure not in ("quantity", "heterogeneity"):
-        raise ValueError(f"measure must be 'quantity' or 'heterogeneity', got {measure!r}")
+    if measure not in MEASURES:
+        raise ValueError(f"measure must be {' or '.join(map(repr, MEASURES))}, got {measure!r}")
     leaders = [getattr(p, measure) for p in profiles if p.is_assigned_leader]
     others = [getattr(p, measure) for p in profiles if not p.is_assigned_leader]
     return leaders, others
@@ -109,7 +112,7 @@ def run_analysis(dataset: Dataset, thresholds: Thresholds = roles.DEFAULT_THRESH
         profiles=profiles,
     )
     for pid in sorted(profiles):
-        for measure_name in ("quantity", "heterogeneity"):
+        for measure_name in MEASURES:
             leaders, others = leader_split(profiles[pid], measure_name)
             if leaders and others:
                 bundle.mwu[f"{pid}/{measure_name}"] = options.mann_whitney(leaders, others)

@@ -458,6 +458,7 @@ class TestMisc:
         text = " ".join(capsys.readouterr().out.split())
         assert "quantity classification cut in (0,1), default 0.5" in text
         assert "heterogeneity classification cut in (0,1), default 0.5" in text
+        assert "nuisance grid step for Barnard's test, default 0.0001" in text
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

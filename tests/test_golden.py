@@ -113,7 +113,9 @@ def fixture_script():
 
 
 def test_study_fixture_is_what_its_script_builds(fixture_script, tmp_path):
-    written = write_dataset(fixture_script.build_dataset(), tmp_path, fmt="csv")
+    dataset = fixture_script.build_dataset()
+    assert fixture_script.verify(dataset) == 0
+    written = write_dataset(dataset, tmp_path, fmt="csv")
     for path in written:
         assert path.read_bytes() == (FIXTURES / "study" / path.name).read_bytes(), path.name
     assert len(written) == 3

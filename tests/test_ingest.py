@@ -307,6 +307,13 @@ def test_json_bundle_is_parsed_once(study_dataset, tmp_path, monkeypatch):
      "teams[1]: row must be an object, got list"),
     ({"projects": [], "teams": [], "interactions": ["P1,T1,S1,A1"]},
      "interactions[0]: row must be an object, got str"),
+    # str() loaded null as 'None', 1 as '1' and [1, 2] as '[1, 2]'
+    ({"projects": [], "teams": [], "interactions": [], "metadata": {"a": "x", "seed": None}},
+     ": metadata['seed'] must be a string, got None"),
+    ({"projects": [], "teams": [], "interactions": [], "metadata": {"seed": 1}},
+     ": metadata['seed'] must be a string, got 1"),
+    ({"projects": [], "teams": [], "interactions": [], "metadata": {"seed": [1, 2]}},
+     ": metadata['seed'] must be a string, got [1, 2]"),
 ])
 def test_json_sections_fail_in_order(doc, message, tmp_path):
     path = tmp_path / "dataset.json"
@@ -416,6 +423,20 @@ def test_a_bare_carriage_return_survives_a_csv_write(tmp_path):
     assert teams == b'project_id,team_id,student_id,is_leader\nP1,T1,S2,0\n"P1","T1","cr\rx","1"\n'
     interactions = (tmp_path / "interactions.csv").read_bytes().split(b"\n")
     assert interactions[1:] == [b'"P1","T1","S2","A1","2024\r01"', b'"P1","T1","cr\rx","A1",""', b""]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_leader_who_is_not_a_member_is_not_written(fmt, tmp_path):
+    # the leader flag rides on a member row, so the leader was dropped and the
+    # reloaded dataset validated clean
+    ds = Dataset(projects={"P1": ProjectSpec("P1", (Subtask("A1", "P1", "W", 2),))},
+                 rosters=(TeamRoster("T1", "P1", frozenset({"S1", "S2"}), "S9"),),
+                 interactions=())
+    assert [v.kind for v in model.validate_dataset(ds)] == [model.LEADER_NOT_MEMBER]
+    with pytest.raises(ValueError) as info:
+        write_dataset(ds, tmp_path / "out", fmt=fmt)
+    assert str(info.value) == "leader 'S9' of team 'T1' (project 'P1') is not a member"
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_tables_match_the_written_files(study_dataset, tmp_path):

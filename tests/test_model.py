@@ -189,6 +189,9 @@ class TestDatasetIO:
         write_dataset(study_dataset, tmp_path, fmt="json")
         again = load_dataset(tmp_path / "dataset.json")
         assert again == study_dataset
+        # the bundle written back to CSV is the fixture, byte for byte
+        for path in write_dataset(again, tmp_path / "csv"):
+            assert path.read_bytes() == (FIXTURES / "study" / path.name).read_bytes(), path.name
 
     def test_csv_round_trip(self, study_dataset, tmp_path):
         write_dataset(study_dataset, tmp_path, fmt="csv")
